@@ -93,20 +93,7 @@ pub fn validate(
     config: &ValidatorConfig,
 ) -> Result<GuaranteeReport> {
     config.check()?;
-    let trial_results = par_map_indexed(config.trials, config.threads, |i| {
-        let seed = config.seed_base + i as u64;
-        let dataset = compiled.function.dataset(seed, config.scale);
-        let profile = DatasetProfile::collect(&compiled.function, dataset);
-        run_trial(compiled, &profile)
-    });
-    score(
-        compiled.function.benchmark().name().to_string(),
-        compiled.threshold.certified_rate,
-        1,
-        spec,
-        config,
-        trial_results,
-    )
+    run_trials(Deployed::Binary(compiled), spec, config, None)
 }
 
 /// Validates a certified **routed-mixture** guarantee on unseen datasets:
@@ -117,9 +104,9 @@ pub fn validate(
 /// the worst error, so the report's `route_violations` says *which*
 /// approximator broke a trial, not just that one broke.
 ///
-/// Verdict and statistics flow through the same
-/// [`judge_routed`] path the mutation self-check exercises; a pool of
-/// one reproduces [`validate`] bit for bit.
+/// Trials, verdict and statistics flow through the same runner and the
+/// same [`judge_routed`] path as [`validate`] and the mutation
+/// self-check; a pool of one reproduces [`validate`] bit for bit.
 ///
 /// # Errors
 ///
@@ -131,28 +118,7 @@ pub fn validate_routed(
     config: &ValidatorConfig,
 ) -> Result<GuaranteeReport> {
     config.check()?;
-    let trial_results = par_map_indexed(config.trials, config.threads, |i| {
-        let seed = config.seed_base + i as u64;
-        let dataset = routed.pool.accurate().dataset(seed, config.scale);
-        let member_profiles: Vec<DatasetProfile> = routed
-            .pool
-            .members()
-            .iter()
-            .map(|m| DatasetProfile::collect(m, dataset.clone()))
-            .collect();
-        let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-        let mut router = routed.router.clone();
-        run_routed(routed, &refs, &mut router, &SimOptions::default())
-            .map(|r| (seed, r.run, r.worst_member))
-    });
-    score(
-        routed.pool.benchmark().name().to_string(),
-        routed.threshold.certified_rate,
-        routed.pool.len(),
-        spec,
-        config,
-        trial_results,
-    )
+    run_trials(Deployed::Routed(routed), spec, config, None)
 }
 
 /// Validates a certified guarantee on pre-collected unseen profiles —
@@ -179,37 +145,95 @@ pub fn validate_profiles(
         ..*config
     }
     .check()?;
-    let trial_results = par_map_indexed(profiles.len(), config.threads, |i| {
-        run_trial(compiled, &profiles[i])
+    run_trials(Deployed::Binary(compiled), spec, config, Some(profiles))
+}
+
+/// The certified system under validation: a binary artifact (a pool of
+/// one under its table classifier) or a routed pool under its router.
+#[derive(Clone, Copy)]
+enum Deployed<'a> {
+    Binary(&'a Compiled),
+    Routed(&'a RoutedCompiled),
+}
+
+/// The one trial runner: fans the trials out under [`par_map_indexed`],
+/// simulates each dataset under a fresh clone of the deployed classifier
+/// (per-trial clones keep online updates from leaking state across
+/// datasets — and across threads), and scores the results in trial order.
+/// Trial `i` runs `collected[i]`, a pre-collected binary profile, or —
+/// without `collected` — a fresh dataset of seed `config.seed_base + i`.
+fn run_trials(
+    deployed: Deployed<'_>,
+    spec: &QualitySpec,
+    config: &ValidatorConfig,
+    collected: Option<&[DatasetProfile]>,
+) -> Result<GuaranteeReport> {
+    let count = collected.map_or(config.trials, <[_]>::len);
+    let trial_results = par_map_indexed(count, config.threads, |i| {
+        let fresh: Vec<DatasetProfile>;
+        let profiles: Vec<&DatasetProfile> = match collected {
+            Some(profiles) => vec![&profiles[i]],
+            None => {
+                fresh = deployed.profile(config.seed_base + i as u64, config.scale);
+                fresh.iter().collect()
+            }
+        };
+        let (result, worst_member) = deployed.simulate(&profiles)?;
+        Ok((profiles[0].dataset().seed(), result, worst_member))
     });
+    let (name, certified_rate, routes) = match deployed {
+        Deployed::Binary(c) => (c.function.benchmark(), c.threshold.certified_rate, 1),
+        Deployed::Routed(r) => (r.pool.benchmark(), r.threshold.certified_rate, r.pool.len()),
+    };
     score(
-        compiled.function.benchmark().name().to_string(),
-        compiled.threshold.certified_rate,
-        1,
+        name.name().to_string(),
+        certified_rate,
+        routes,
         spec,
         config,
         trial_results,
     )
 }
 
-/// One trial: simulate a profile under a fresh clone of the deployed
-/// table classifier (per-trial clones keep online updates from leaking
-/// state across datasets — and across threads). Binary trials are the
-/// one-member mixture, so the violation attribution is always member 0.
-fn run_trial(
-    compiled: &Compiled,
-    profile: &DatasetProfile,
-) -> std::result::Result<(u64, RunResult, usize), mithra_sim::SimError> {
-    let mut classifier = compiled.table.clone();
-    let result = run(
-        compiled,
-        profile,
-        &mut classifier,
-        &SimOptions::default(),
-        RunHooks::none(),
-    )?;
-    Ok((profile.dataset().seed(), result, 0))
+impl Deployed<'_> {
+    /// Every pool member's profile of the dataset of `seed`.
+    fn profile(&self, seed: u64, scale: DatasetScale) -> Vec<DatasetProfile> {
+        match *self {
+            Deployed::Binary(c) => {
+                let dataset = c.function.dataset(seed, scale);
+                vec![DatasetProfile::collect(&c.function, dataset)]
+            }
+            Deployed::Routed(r) => {
+                let dataset = r.pool.accurate().dataset(seed, scale);
+                r.pool
+                    .members()
+                    .iter()
+                    .map(|m| DatasetProfile::collect(m, dataset.clone()))
+                    .collect()
+            }
+        }
+    }
+
+    /// One trial's simulation, hook-free: the run and the member its
+    /// worst-error output came from (always 0 for a pool of one).
+    fn simulate(
+        &self,
+        profiles: &[&DatasetProfile],
+    ) -> std::result::Result<(RunResult, usize), mithra_sim::SimError> {
+        let options = SimOptions::default();
+        match *self {
+            Deployed::Binary(c) => {
+                let mut table = c.table.clone();
+                run(c, profiles[0], &mut table, &options, RunHooks::none()).map(|r| (r, 0))
+            }
+            Deployed::Routed(r) => run_routed(r, profiles, &mut r.router.clone(), &options)
+                .map(|r| (r.run, r.worst_member)),
+        }
+    }
 }
+
+/// One trial's dataset seed, simulation result and worst-route member.
+type TrialResult = std::result::Result<(u64, RunResult, usize), mithra_sim::SimError>;
 
 /// Folds per-trial results (in trial-index order) into the report.
 fn score(
@@ -218,7 +242,7 @@ fn score(
     n_routes: usize,
     spec: &QualitySpec,
     config: &ValidatorConfig,
-    trial_results: Vec<std::result::Result<(u64, RunResult, usize), mithra_sim::SimError>>,
+    trial_results: Vec<TrialResult>,
 ) -> Result<GuaranteeReport> {
     let mut trial_records = Vec::with_capacity(trial_results.len());
     let mut losses = Vec::with_capacity(trial_results.len());

@@ -3,8 +3,12 @@
 //! MITHRA's microarchitectural component "maps an accelerator input vector
 //! with multiple elements to a single-bit binary decision" (paper §IV).
 //! Every design — table-based, neural, oracle, random — implements
-//! [`Classifier`]; the system simulator is generic over it.
+//! [`Classifier`]; the system simulator is generic over it. A binary
+//! design is the one-member case of multi-approximator routing: its
+//! default [`Classifier::classify_route`] maps accept to pool member 0,
+//! so the runtime layers decide through one K-ary path.
 
+use crate::route::RouteChoice;
 use mithra_npu::topology::Topology;
 
 /// The single-bit decision MITHRA makes per invocation.
@@ -69,6 +73,16 @@ pub trait Classifier: std::fmt::Debug {
     /// Decides whether invocation `index` with `input` goes to the
     /// accelerator or the precise function.
     fn classify(&mut self, index: usize, input: &[f32]) -> Decision;
+
+    /// Routes invocation `index` over a pool of approximators. A binary
+    /// design routes over a pool of one: accept is member 0, reject is
+    /// the precise fallback.
+    fn classify_route(&mut self, index: usize, input: &[f32]) -> RouteChoice {
+        match self.classify(index, input) {
+            Decision::Approximate => RouteChoice::Member(0),
+            Decision::Precise => RouteChoice::Precise,
+        }
+    }
 
     /// The per-invocation cost footprint of this design.
     fn overhead(&self) -> ClassifierOverhead;

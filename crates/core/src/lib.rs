@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod binary;
 pub mod cache;
 pub mod classifier;
 pub mod context;

@@ -13,26 +13,12 @@
 
 use crate::classifier::{Classifier, Decision};
 use crate::function::{AcceleratedFunction, InvokeScratch};
-use crate::Result;
 use mithra_axbench::dataset::{Dataset, OutputBuffer};
 
 /// Invocations per accelerator batch inside [`DatasetProfile::collect`].
 /// Large enough to amortize one weight-matrix traversal per SIMD tile,
 /// small enough that the staging buffers stay cache-resident.
 const PROFILE_BLOCK: usize = 64;
-
-/// Where one invocation's output came from when a run is scored after the
-/// fact — the generalization of [`Decision`] the fault model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// The precise function produced this output.
-    Precise,
-    /// The accelerator produced this output.
-    Approx,
-    /// A FIFO drop left the core reading a *stale* accelerator output:
-    /// the consumer dequeued what invocation `0..i` had left behind.
-    ApproxFrom(usize),
-}
 
 /// Cached profile of one dataset: inputs, both output streams, and the
 /// per-invocation accelerator error.
@@ -242,58 +228,6 @@ impl DatasetProfile {
         }
     }
 
-    /// Replays the dataset with a per-invocation [`Route`], scoring final
-    /// quality without panicking — the fault model's scoring path, where a
-    /// FIFO drop can route a *stale* accelerator output
-    /// ([`Route::ApproxFrom`]) into the output stream.
-    ///
-    /// With routes of only [`Route::Precise`]/[`Route::Approx`] this is
-    /// numerically identical to [`DatasetProfile::replay_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `routes` does not cover every invocation or if
-    /// the final outputs cannot be scored.
-    pub fn try_replay_routed(
-        &self,
-        function: &AcceleratedFunction,
-        routes: &[Route],
-    ) -> Result<ReplayOutcome> {
-        let n = self.invocation_count();
-        if routes.len() != n {
-            return Err(crate::MithraError::InsufficientData {
-                stage: "routed replay",
-                available: routes.len(),
-                needed: n,
-            });
-        }
-        let bench = function.benchmark();
-        let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
-        let mut invoked = 0usize;
-        for (i, route) in routes.iter().enumerate() {
-            match route {
-                Route::Precise => mixed.push(self.precise.get(i)),
-                Route::Approx => {
-                    invoked += 1;
-                    mixed.push(self.approx.get(i));
-                }
-                Route::ApproxFrom(j) => {
-                    invoked += 1;
-                    mixed.push(self.approx.get((*j).min(n - 1)));
-                }
-            }
-        }
-        let final_mixed = bench.run_application(&self.dataset, &mixed);
-        let quality_loss = bench
-            .quality_metric()
-            .try_quality_loss(&self.final_precise, &final_mixed)?;
-        Ok(ReplayOutcome {
-            quality_loss,
-            invoked,
-            total: n,
-        })
-    }
-
     /// Replays the dataset driving a [`Classifier`], optionally applying
     /// online updates every `online_update_period` invocations (0 = no
     /// updates) using the measured error at `threshold` — the paper's
@@ -397,6 +331,7 @@ pub fn collect_profiles_parallel(
 mod tests {
     use super::*;
     use crate::function::NpuTrainConfig;
+    use crate::route::{replay_mixed, MixedOutput};
     use mithra_axbench::benchmark::Benchmark;
     use mithra_axbench::dataset::DatasetScale;
     use mithra_axbench::suite;
@@ -478,16 +413,32 @@ mod tests {
         }
     }
 
+    /// The pool replay over this profile alone (a pool of one).
+    fn replay_one(
+        f: &AcceleratedFunction,
+        p: &DatasetProfile,
+        outputs: Vec<MixedOutput>,
+    ) -> crate::Result<crate::route::RoutedReplay> {
+        replay_mixed(f.benchmark().as_ref(), &[p], outputs.into_iter())
+    }
+
     #[test]
     fn routed_replay_matches_replay_with_on_clean_routes() {
         let (f, p) = profile_for("sobel");
         let th = 0.08;
-        let routes: Vec<Route> = p
+        let outputs: Vec<MixedOutput> = p
             .oracle_rejects(th)
             .iter()
-            .map(|&r| if r { Route::Precise } else { Route::Approx })
+            .enumerate()
+            .map(|(i, &r)| {
+                if r {
+                    MixedOutput::Precise
+                } else {
+                    MixedOutput::Approx { member: 0, from: i }
+                }
+            })
             .collect();
-        let routed = p.try_replay_routed(&f, &routes).unwrap();
+        let routed = replay_one(&f, &p, outputs).unwrap();
         let direct = p.replay_with_threshold(&f, th);
         assert_eq!(routed.quality_loss, direct.quality_loss);
         assert_eq!(routed.invoked, direct.invoked);
@@ -497,12 +448,13 @@ mod tests {
     fn stale_route_degrades_quality() {
         let (f, p) = profile_for("sobel");
         // All approx, but every invocation reads invocation 0's output.
-        let stale: Vec<Route> = (0..p.invocation_count())
-            .map(|_| Route::ApproxFrom(0))
+        let n = p.invocation_count();
+        let stale = vec![MixedOutput::Approx { member: 0, from: 0 }; n];
+        let fresh = (0..n)
+            .map(|i| MixedOutput::Approx { member: 0, from: i })
             .collect();
-        let fresh: Vec<Route> = (0..p.invocation_count()).map(|_| Route::Approx).collect();
-        let s = p.try_replay_routed(&f, &stale).unwrap();
-        let fr = p.try_replay_routed(&f, &fresh).unwrap();
+        let s = replay_one(&f, &p, stale).unwrap();
+        let fr = replay_one(&f, &p, fresh).unwrap();
         assert!(
             s.quality_loss > fr.quality_loss,
             "stale {} vs fresh {}",
@@ -514,7 +466,7 @@ mod tests {
     #[test]
     fn routed_replay_rejects_short_routes() {
         let (f, p) = profile_for("sobel");
-        assert!(p.try_replay_routed(&f, &[Route::Precise]).is_err());
+        assert!(replay_one(&f, &p, vec![MixedOutput::Precise]).is_err());
     }
 
     #[test]

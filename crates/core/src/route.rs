@@ -463,8 +463,9 @@ impl ApproximatorPool {
     }
 
     /// Replays one dataset under explicit per-invocation [`RouteChoice`]s
-    /// (the deployed router's decisions), mixing each invocation's output
-    /// from the chosen member's cached accelerator output.
+    /// (the deployed router's decisions): each invocation reads its own
+    /// output from the chosen member, i.e. [`replay_mixed`] with no FIFO
+    /// drops.
     ///
     /// # Errors
     ///
@@ -475,47 +476,12 @@ impl ApproximatorPool {
         members: &[&DatasetProfile],
         choices: &[RouteChoice],
     ) -> Result<RoutedReplay> {
-        let n = self.check_member_profiles(members)?;
-        if choices.len() != n {
-            return Err(MithraError::InsufficientData {
-                stage: "routed mixture replay",
-                available: choices.len(),
-                needed: n,
-            });
-        }
-        let bench = self.benchmark();
-        let base = members[0];
-        let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
-        let mut invoked = 0usize;
-        let mut member_invocations = vec![0usize; self.len()];
-        let mut worst_member = 0usize;
-        let mut worst_err = f32::NEG_INFINITY;
-        for (i, choice) in choices.iter().enumerate() {
-            match choice {
-                RouteChoice::Member(m) => {
-                    invoked += 1;
-                    member_invocations[*m] += 1;
-                    let err = members[*m].max_error(i);
-                    if err > worst_err {
-                        worst_err = err;
-                        worst_member = *m;
-                    }
-                    mixed.push(members[*m].approx_output(i));
-                }
-                RouteChoice::Precise => mixed.push(base.precise_output(i)),
-            }
-        }
-        let final_mixed = bench.run_application(base.dataset(), &mixed);
-        let quality_loss = bench
-            .quality_metric()
-            .try_quality_loss(base.final_precise(), &final_mixed)?;
-        Ok(RoutedReplay {
-            quality_loss,
-            invoked,
-            total: n,
-            member_invocations,
-            worst_member,
-        })
+        self.check_member_profiles(members)?;
+        let outputs = choices
+            .iter()
+            .enumerate()
+            .map(|(i, &choice)| MixedOutput::own(i, choice));
+        replay_mixed(self.benchmark().as_ref(), members, outputs)
     }
 
     /// Validates a per-member profile slice for one dataset, returning the
@@ -540,6 +506,105 @@ impl ApproximatorPool {
         }
         Ok(n)
     }
+}
+
+/// The output the consumer read for one invocation of a mixed-output
+/// replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MixedOutput {
+    /// The precise function's output.
+    Precise,
+    /// Pool member `member`'s cached accelerator output of invocation
+    /// `from`: the invocation's own output, or — after a FIFO drop — the
+    /// stale output of the last invocation whose result reached the
+    /// output FIFO, whichever member produced it.
+    Approx {
+        /// The member whose output was read.
+        member: usize,
+        /// The invocation that produced it.
+        from: usize,
+    },
+}
+
+impl MixedOutput {
+    /// Invocation `i` served on `choice`, reading its own output.
+    pub fn own(i: usize, choice: RouteChoice) -> Self {
+        match choice {
+            RouteChoice::Member(member) => MixedOutput::Approx { member, from: i },
+            RouteChoice::Precise => MixedOutput::Precise,
+        }
+    }
+}
+
+/// Scores one dataset's mixed output stream: invocation `i` contributes
+/// the output `outputs[i]` names, read from the cached member profiles
+/// (`members[m]` is member `m`'s profile of the dataset). This is the one
+/// quality replay of every runtime layer — the simulator, the serving
+/// fold and routed certification; a binary system is a pool of one.
+///
+/// Per-member counts and the worst member are taken over the outputs
+/// actually read.
+///
+/// # Errors
+///
+/// Returns [`MithraError::InsufficientData`] when `members` is empty,
+/// the members disagree on the invocation count, or `outputs` does not
+/// cover every invocation, and propagates quality-scoring failures.
+pub fn replay_mixed(
+    bench: &dyn Benchmark,
+    members: &[&DatasetProfile],
+    outputs: impl ExactSizeIterator<Item = MixedOutput>,
+) -> Result<RoutedReplay> {
+    let base = members.first().ok_or(MithraError::InsufficientData {
+        stage: "mixed-output replay",
+        available: 0,
+        needed: 1,
+    })?;
+    let n = base.invocation_count();
+    for count in members
+        .iter()
+        .map(|p| p.invocation_count())
+        .chain([outputs.len()])
+    {
+        if count != n {
+            return Err(MithraError::InsufficientData {
+                stage: "mixed-output replay",
+                available: count,
+                needed: n,
+            });
+        }
+    }
+    let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
+    let mut invoked = 0usize;
+    let mut member_invocations = vec![0usize; members.len()];
+    let mut worst_member = 0usize;
+    let mut worst_err = f32::NEG_INFINITY;
+    for (i, output) in outputs.enumerate() {
+        match output {
+            MixedOutput::Approx { member, from } => {
+                invoked += 1;
+                member_invocations[member] += 1;
+                let err = members[member].max_error(from);
+                if err > worst_err {
+                    worst_err = err;
+                    worst_member = member;
+                }
+                mixed.push(members[member].approx_output(from));
+            }
+            MixedOutput::Precise => mixed.push(base.precise_output(i)),
+        }
+    }
+    let final_mixed = bench.run_application(base.dataset(), &mixed);
+    let quality_loss = bench
+        .quality_metric()
+        .try_quality_loss(base.final_precise(), &final_mixed)?;
+    Ok(RoutedReplay {
+        quality_loss,
+        invoked,
+        total: n,
+        member_invocations,
+        worst_member,
+    })
 }
 
 /// The oracle route of invocation `i` at `threshold`: the first (cheapest)
@@ -841,6 +906,27 @@ impl RouteClassifier {
     /// one-time table decompression at program load.
     pub fn max_overhead(&self) -> ClassifierOverhead {
         self.overhead_for(RouteChoice::Precise)
+    }
+}
+
+/// The router is a [`Classifier`] whose decisions are K-ary: the runtime
+/// layers drive it through [`Classifier::classify_route`] exactly as they
+/// drive a binary design, which routes over a pool of one.
+impl Classifier for RouteClassifier {
+    fn name(&self) -> &'static str {
+        "router"
+    }
+
+    fn classify(&mut self, index: usize, input: &[f32]) -> Decision {
+        Decision::from_reject(RouteClassifier::classify_route(self, index, input).is_precise())
+    }
+
+    fn classify_route(&mut self, index: usize, input: &[f32]) -> RouteChoice {
+        RouteClassifier::classify_route(self, index, input)
+    }
+
+    fn overhead(&self) -> ClassifierOverhead {
+        self.max_overhead()
     }
 }
 

@@ -38,6 +38,7 @@
 
 use crate::classifier::{Classifier, Decision};
 use crate::profile::DatasetProfile;
+use crate::route::RouteChoice;
 use crate::Result;
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
 
@@ -291,6 +292,15 @@ impl QualityWatchdog {
         }
     }
 
+    /// [`admit`](Self::admit) for a routed decision: a member route the
+    /// guard refuses runs precise, every other route passes unchanged.
+    pub fn admit_route(&mut self, route: RouteChoice) -> RouteChoice {
+        match self.admit(Decision::from_reject(route.is_precise())) {
+            Decision::Approximate => route,
+            Decision::Precise => RouteChoice::Precise,
+        }
+    }
+
     /// Feeds one shadow sample: did a sampled accelerator-bound invocation
     /// violate the certified threshold? Returns the new state when this
     /// sample causes a transition.
@@ -463,6 +473,8 @@ impl QualityWatchdog {
 /// sit far below the limit (the no-false-alarm property), while the fault
 /// modes this crate models push the rate past it quickly.
 ///
+/// This is [`calibrate_pool`] over a pool of one.
+///
 /// # Errors
 ///
 /// Propagates statistics errors from the confidence machinery (none occur
@@ -473,13 +485,32 @@ pub fn calibrate(
     threshold: f32,
     confidence: Confidence,
 ) -> Result<WatchdogConfig> {
+    calibrate_pool(classifier, &[profiles], threshold, confidence)
+}
+
+/// [`calibrate`] for a routed pool: `member_profiles[m][d]` is member
+/// `m`'s profile of calibration dataset `d`. An invocation routed to
+/// member `m` is admitted, and violates when member `m`'s error exceeds
+/// the threshold — the same judgement the runtime's shadow samples make.
+///
+/// # Errors
+///
+/// Propagates statistics errors from the confidence machinery (none occur
+/// for valid inputs).
+pub fn calibrate_pool(
+    classifier: &mut dyn Classifier,
+    member_profiles: &[&[DatasetProfile]],
+    threshold: f32,
+    confidence: Confidence,
+) -> Result<WatchdogConfig> {
     let mut admitted = 0u64;
     let mut violations = 0u64;
-    for profile in profiles {
-        for (i, input) in profile.dataset().iter().enumerate() {
-            if classifier.classify(i, input) == Decision::Approximate {
+    let datasets = member_profiles.first().copied().unwrap_or_default();
+    for (d, base) in datasets.iter().enumerate() {
+        for (i, input) in base.dataset().iter().enumerate() {
+            if let RouteChoice::Member(m) = classifier.classify_route(i, input) {
                 admitted += 1;
-                if profile.max_error(i) > threshold {
+                if member_profiles[m][d].max_error(i) > threshold {
                     violations += 1;
                 }
             }
@@ -731,5 +762,35 @@ mod tests {
         let cfg = calibrate(&mut oracle, &[], 0.1, Confidence::new(0.95).unwrap()).unwrap();
         assert!(cfg.max_violation_rate >= 0.02);
         assert!(cfg.max_violation_rate <= 1.0);
+    }
+
+    #[test]
+    fn pool_calibration_of_a_pool_of_one_is_binary_calibration() {
+        use crate::pipeline::{compile, compile_routed, CompileConfig};
+        use crate::route::PoolSpec;
+        use mithra_axbench::benchmark::Benchmark;
+        use std::sync::Arc;
+
+        let bench: Arc<dyn Benchmark> = mithra_axbench::suite::by_name("sobel").unwrap().into();
+        let config = CompileConfig::smoke();
+        let compiled = compile(Arc::clone(&bench), &config).unwrap();
+        let spec = PoolSpec::single(bench.npu_topology());
+        let routed = compile_routed(bench, &config, &spec).unwrap();
+        let conf = Confidence::new(0.95).unwrap();
+        let binary = calibrate(
+            &mut compiled.table.clone(),
+            &compiled.profiles,
+            compiled.threshold.threshold,
+            conf,
+        )
+        .unwrap();
+        let pooled = calibrate_pool(
+            &mut routed.router.clone(),
+            &[&routed.member_profiles[0]],
+            routed.threshold.threshold,
+            conf,
+        )
+        .unwrap();
+        assert_eq!(pooled, binary);
     }
 }

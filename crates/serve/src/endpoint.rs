@@ -1,21 +1,26 @@
 //! Endpoints: one compiled benchmark, served as an addressable unit.
 //!
 //! An [`EndpointSpec`] binds a compiled artifact to the dataset profile it
-//! serves; the engine lowers it into an [`EndpointState`] carrying the
-//! precomputed [`InvocationModel`], the oracle ground truth, the NPU
-//! configuration image, the calibrated watchdog prototype each worker
-//! forks, and the slot table collecting per-invocation results. Slots are
-//! keyed by invocation index, so however requests interleave across
-//! workers, the finished endpoint folds its charges in index order — the
-//! ordering that makes the aggregate bit-identical to sequential
-//! simulation.
+//! serves; the engine lowers it into an [`EndpointState`]. Every endpoint
+//! routes over a pool of approximators — a binary endpoint is a pool of
+//! one, whose router is its table classifier — so the state carries one
+//! shape for both: the pool, each member's profile of the served
+//! dataset, the per-route [`RoutedInvocationModel`], the oracle ground
+//! truth, the members' NPU configuration images, the calibrated watchdog
+//! prototype each worker forks, and the slot table collecting
+//! per-invocation results. Slots are keyed by invocation index, so
+//! however requests interleave across workers, the finished endpoint
+//! folds its charges in index order — the ordering that makes the
+//! aggregate bit-identical to sequential simulation.
 
 use crate::error::ServeError;
 use crate::metrics::EndpointCounters;
 use mithra_core::classifier::Classifier;
 use mithra_core::pipeline::Compiled;
-use mithra_core::profile::{DatasetProfile, Route};
-use mithra_core::route::{oracle_route, RouteChoice, RoutedCompiled};
+use mithra_core::profile::DatasetProfile;
+use mithra_core::route::{
+    oracle_route, ApproximatorPool, RouteChoice, RouteClassifier, RoutedCompiled,
+};
 use mithra_core::table::TableClassifier;
 use mithra_core::watchdog::{self, QualityWatchdog, WatchdogConfig};
 use mithra_core::MithraError;
@@ -29,7 +34,7 @@ use std::sync::{Arc, Mutex};
 /// request is pending.
 const TRIGGER_CLEAR: u64 = u64::MAX;
 
-/// The live operating point of an endpoint: the threshold/classifier pair
+/// The live operating point of an endpoint: the threshold/router pair
 /// (and the watchdog prototype guarding it) that requests are currently
 /// served under, versioned by a swap epoch.
 ///
@@ -45,8 +50,9 @@ pub(crate) struct OperatingPoint {
     pub epoch: u64,
     /// The local error threshold shadow samples are judged against.
     pub threshold: f32,
-    /// The classifier workers clone into their shards.
-    pub table: TableClassifier,
+    /// The router workers clone into their shards — on a binary endpoint,
+    /// the pool-of-one router whose single stage is the table classifier.
+    pub router: RouteClassifier,
     /// Watchdog prototype for this epoch; each worker forks a fresh copy,
     /// so a swap also resets the guard ladder to `Monitoring`.
     pub watchdog_proto: Option<QualityWatchdog>,
@@ -76,7 +82,9 @@ pub struct RoutedServeSpec {
     /// router cascade).
     pub routed: Arc<RoutedCompiled>,
     /// Pool member `m`'s profile of the **same** dataset the endpoint's
-    /// `profile` covers, cheapest member first.
+    /// `profile` covers, cheapest member first. The engine checks each
+    /// against `profile`'s dataset, then serves and scores from these
+    /// alone.
     pub member_profiles: Vec<DatasetProfile>,
 }
 
@@ -84,11 +92,8 @@ pub struct RoutedServeSpec {
 /// the slot table until the endpoint is finished.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ServedInvocation {
-    /// Did the invocation run on the accelerator?
-    pub approx: bool,
-    /// Which pool member served it (meaningful only when `approx` on a
-    /// routed endpoint; always 0 on the binary path).
-    pub member: usize,
+    /// The route that served it: a pool member or the precise fallback.
+    pub route: RouteChoice,
     /// Simulated core-visible cycles charged.
     pub cycles: f64,
     /// Simulated energy charged (nJ).
@@ -106,15 +111,24 @@ pub(crate) struct SlotTable {
 #[derive(Debug)]
 pub(crate) struct EndpointState {
     pub name: String,
-    pub compiled: Arc<Compiled>,
-    pub profile: DatasetProfile,
-    pub model: InvocationModel,
-    /// Oracle ground truth at the certified threshold, for false-decision
-    /// accounting.
-    pub oracle_rejects: Vec<bool>,
-    /// The NPU configuration image (weights and biases as raw bit words)
-    /// streamed through the config FIFO once per same-endpoint sub-batch.
-    pub config_words: Vec<u32>,
+    /// The accelerators served from, cheapest first: a binary endpoint's
+    /// one accelerator, or the routed pool.
+    pub pool: ApproximatorPool,
+    /// Pool member `m`'s profile of the served dataset (a binary
+    /// endpoint's one profile, moved in).
+    pub member_profiles: Vec<DatasetProfile>,
+    /// Per-route cost constants (the one-member model when binary).
+    pub model: RoutedInvocationModel,
+    /// Ground truth at the certified threshold — does the oracle run
+    /// invocation `i` precisely? — for false-positive accounting.
+    pub oracle_precise: Vec<bool>,
+    /// Per-member NPU configuration images (weights and biases as raw bit
+    /// words), streamed through the config FIFO on a member switch within
+    /// a sub-batch.
+    pub member_config_words: Vec<Vec<u32>>,
+    /// Whether the endpoint serves a routed compile product; operating-
+    /// point swaps target binary endpoints only.
+    pub routed: bool,
     /// The epoch-versioned operating point workers serve under; swapped
     /// atomically by [`install`](Self::install).
     op: Mutex<Arc<OperatingPoint>>,
@@ -123,85 +137,49 @@ pub(crate) struct EndpointState {
     /// re-certification. One trigger per endpoint per epoch — the fix for
     /// per-worker forked watchdogs racing to fire their own.
     trigger: AtomicU64,
-    /// Routed sub-state; `None` keeps the binary serving path untouched.
-    pub routed: Option<RoutedEndpointState>,
     pub slots: Mutex<SlotTable>,
     pub counters: Mutex<EndpointCounters>,
 }
 
-/// Lowered routing attachment: per-route cost models, per-member NPU
-/// configuration images, and the oracle route of every invocation.
-#[derive(Debug)]
-pub(crate) struct RoutedEndpointState {
-    pub routed: Arc<RoutedCompiled>,
-    pub member_profiles: Vec<DatasetProfile>,
-    pub model: RoutedInvocationModel,
-    /// Per-member configuration images, streamed on route switches.
-    pub member_config_words: Vec<Vec<u32>>,
-    /// Ground-truth route of every invocation at the certified routed
-    /// threshold, for false-decision accounting.
-    pub oracle_routes: Vec<RouteChoice>,
-}
-
-impl RoutedEndpointState {
-    fn build(
-        spec: RoutedServeSpec,
-        served_invocations: usize,
-        options: &SimOptions,
-    ) -> Result<Self, ServeError> {
-        let RoutedServeSpec {
-            routed,
-            member_profiles,
-        } = spec;
-        if member_profiles.len() != routed.pool.len() {
-            return Err(ServeError::Core(MithraError::InsufficientData {
-                stage: "routed endpoint build",
-                available: member_profiles.len(),
-                needed: routed.pool.len(),
-            }));
-        }
-        for p in &member_profiles {
-            if p.invocation_count() != served_invocations {
-                return Err(ServeError::Core(MithraError::InsufficientData {
-                    stage: "routed endpoint build",
-                    available: p.invocation_count(),
-                    needed: served_invocations,
-                }));
-            }
-        }
-        let model = RoutedInvocationModel::new(&routed, options);
-        let threshold = model.threshold();
-        let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-        let oracle_routes = (0..served_invocations)
-            .map(|i| oracle_route(&refs, i, threshold))
-            .collect();
-        let member_config_words = routed
-            .pool
-            .members()
-            .iter()
-            .map(|member| {
-                let (weights, biases) = member.npu().to_parameters();
-                weights
-                    .iter()
-                    .chain(biases.iter())
-                    .map(|w| w.to_bits())
-                    .collect()
-            })
-            .collect();
-        Ok(Self {
-            routed,
-            member_profiles,
-            model,
-            member_config_words,
-            oracle_routes,
-        })
+/// Checks that a routed attachment profiles the dataset the endpoint
+/// serves: one profile per pool member, each of `profile`'s dataset —
+/// same seed, same invocation count, same inputs (a drifted copy keeps
+/// the seed and the count).
+fn check_member_profiles(
+    name: &str,
+    profile: &DatasetProfile,
+    spec: &RoutedServeSpec,
+) -> Result<(), ServeError> {
+    if spec.member_profiles.len() != spec.routed.pool.len() {
+        return Err(ServeError::Core(MithraError::InsufficientData {
+            stage: "routed endpoint build",
+            available: spec.member_profiles.len(),
+            needed: spec.routed.pool.len(),
+        }));
     }
+    for (member, p) in spec.member_profiles.iter().enumerate() {
+        if p.dataset() != profile.dataset() {
+            return Err(ServeError::DatasetMismatch {
+                endpoint: name.to_string(),
+                member,
+            });
+        }
+    }
+    Ok(())
 }
 
 impl EndpointState {
-    /// Lowers a spec: precomputes the invocation model and ground truth,
-    /// encodes the config image, and calibrates the watchdog prototype
-    /// once (workers fork it instead of re-running calibration).
+    /// Lowers a spec into the pool the endpoint serves: precomputes the
+    /// per-route model and ground truth, encodes each member's config
+    /// image, and calibrates the watchdog prototype once on the compile
+    /// profiles (workers fork it instead of re-running calibration).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Core`] when a routed attachment has no profile per
+    /// pool member or watchdog calibration fails;
+    /// [`ServeError::DatasetMismatch`] when a member profile covers
+    /// another dataset than `profile`.
     pub fn build(
         spec: EndpointSpec,
         options: &SimOptions,
@@ -213,54 +191,89 @@ impl EndpointState {
             profile,
             routed,
         } = spec;
-        let model = InvocationModel::new(&compiled, &compiled.table.overhead(), options);
-        let oracle_rejects = profile.oracle_rejects(model.threshold());
-        let (weights, biases) = compiled.function.npu().to_parameters();
-        let config_words: Vec<u32> = weights
-            .iter()
-            .chain(biases.iter())
-            .map(|w| w.to_bits())
-            .collect();
-        let watchdog_proto = if watchdog_enabled {
-            let confidence = Confidence::new(0.95).expect("0.95 is a valid confidence");
-            let mut calibration_cls = compiled.table.clone();
-            let config = watchdog::calibrate(
-                &mut calibration_cls,
-                &compiled.profiles,
-                model.threshold(),
-                confidence,
-            )
-            .map_err(ServeError::Core)?;
-            Some(QualityWatchdog::new(config))
-        } else {
-            None
+        let routed_endpoint = routed.is_some();
+        let (pool, member_profiles, model, router, watchdog) = match routed {
+            None => {
+                let function = &compiled.function;
+                let topology = function.benchmark().npu_topology();
+                let pool = ApproximatorPool::from_members(vec![function.clone()], vec![topology]);
+                let model = InvocationModel::new(&compiled, &compiled.table.overhead(), options);
+                let router = RouteClassifier::from_stages(vec![compiled.table.clone()]);
+                let calibration: Vec<&[DatasetProfile]> = vec![&compiled.profiles];
+                let model = RoutedInvocationModel::single(model);
+                let watchdog = calibrate(watchdog_enabled, &router, &calibration, &model)?;
+                (pool, vec![profile], model, router, watchdog)
+            }
+            Some(spec) => {
+                check_member_profiles(&name, &profile, &spec)?;
+                let RoutedServeSpec {
+                    routed,
+                    member_profiles,
+                } = spec;
+                let model = RoutedInvocationModel::new(&routed, options);
+                let router = routed.router.clone();
+                let calibration: Vec<&[DatasetProfile]> =
+                    routed.member_profiles.iter().map(Vec::as_slice).collect();
+                let watchdog = calibrate(watchdog_enabled, &router, &calibration, &model)?;
+                (
+                    routed.pool.clone(),
+                    member_profiles,
+                    model,
+                    router,
+                    watchdog,
+                )
+            }
         };
-        let n = profile.invocation_count();
-        let routed = routed
-            .map(|r| RoutedEndpointState::build(r, n, options))
-            .transpose()?;
+        let threshold = model.threshold();
+        let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
+        let n = refs[0].invocation_count();
+        let oracle_precise = (0..n)
+            .map(|i| oracle_route(&refs, i, threshold).is_precise())
+            .collect();
+        let member_config_words = pool
+            .members()
+            .iter()
+            .map(|member| {
+                let (weights, biases) = member.npu().to_parameters();
+                weights
+                    .iter()
+                    .chain(biases.iter())
+                    .map(|w| w.to_bits())
+                    .collect()
+            })
+            .collect();
         let op = Arc::new(OperatingPoint {
             epoch: 0,
-            threshold: model.threshold(),
-            table: compiled.table.clone(),
-            watchdog_proto,
+            threshold,
+            router,
+            watchdog_proto: watchdog.map(QualityWatchdog::new),
         });
         Ok(Self {
             name,
-            compiled,
-            profile,
+            pool,
+            member_profiles,
             model,
-            oracle_rejects,
-            config_words,
+            oracle_precise,
+            member_config_words,
+            routed: routed_endpoint,
             op: Mutex::new(op),
             trigger: AtomicU64::new(TRIGGER_CLEAR),
-            routed,
             slots: Mutex::new(SlotTable {
                 slots: vec![None; n],
                 filled: 0,
             }),
             counters: Mutex::new(EndpointCounters::default()),
         })
+    }
+
+    /// Invocations in the served dataset.
+    pub fn invocations(&self) -> usize {
+        self.member_profiles[0].invocation_count()
+    }
+
+    /// The input vector of invocation `i`.
+    pub fn input(&self, i: usize) -> &[f32] {
+        self.member_profiles[0].dataset().input(i)
     }
 
     /// The operating point new sub-batches serve under. Workers call this
@@ -298,6 +311,7 @@ impl EndpointState {
         table: TableClassifier,
         watchdog: Option<WatchdogConfig>,
     ) -> u64 {
+        let router = RouteClassifier::from_stages(vec![table]);
         let mut op = self.op.lock().expect("operating-point lock poisoned");
         let watchdog_proto = match watchdog {
             Some(config) => Some(QualityWatchdog::new(config)),
@@ -306,7 +320,7 @@ impl EndpointState {
         let next = Arc::new(OperatingPoint {
             epoch: op.epoch + 1,
             threshold,
-            table,
+            router,
             watchdog_proto,
         });
         *op = next;
@@ -318,51 +332,54 @@ impl EndpointState {
     }
 
     /// Folds the filled slot table into a [`RunResult`], in invocation
-    /// order — the same initial charges and the same accumulation order as
-    /// `mithra_sim::system::run`, which is what pins batched serving to
-    /// the sequential simulator bit-for-bit (watchdog off). Returns `None`
-    /// while any invocation is still unserved.
+    /// order — the same initial charges, the same accumulation order, the
+    /// same false-decision judgement and the same mixed-output replay as
+    /// `mithra_sim::system::run_pool`, which is what pins batched serving
+    /// to the sequential simulator bit-for-bit (watchdog off). False
+    /// negatives are read from the served member's profile. Returns
+    /// `None` while any invocation is still unserved.
     ///
     /// # Errors
     ///
-    /// Propagates quality-scoring failures from the routed replay.
+    /// Propagates quality-scoring failures from the replay.
     pub fn finish(&self) -> Result<Option<RunResult>, ServeError> {
         let table = self.slots.lock().expect("slot lock poisoned");
         let n = table.slots.len();
         if table.filled < n {
             return Ok(None);
         }
-        if let Some(routed) = &self.routed {
-            return Self::finish_routed(routed, &table).map(Some);
-        }
         let baseline = self.model.baseline(n);
         let startup = self.model.startup(n);
         let mut cycles = startup.cycles;
         let mut energy = startup.energy;
-        let mut routes: Vec<Route> = Vec::with_capacity(n);
+        let threshold = self.model.threshold();
+        let mut choices: Vec<RouteChoice> = Vec::with_capacity(n);
         let mut invoked = 0usize;
         let (mut false_positives, mut false_negatives) = (0usize, 0usize);
         for (i, slot) in table.slots.iter().enumerate() {
             let s = slot.expect("filled table has no holes");
             cycles += s.cycles;
             energy += s.energy;
-            if s.approx {
-                invoked += 1;
-                if self.oracle_rejects[i] {
-                    false_negatives += 1;
+            match s.route {
+                RouteChoice::Member(m) => {
+                    invoked += 1;
+                    if self.member_profiles[m].max_error(i) > threshold {
+                        false_negatives += 1;
+                    }
                 }
-                routes.push(Route::Approx);
-            } else {
-                if !self.oracle_rejects[i] {
-                    false_positives += 1;
+                RouteChoice::Precise => {
+                    if !self.oracle_precise[i] {
+                        false_positives += 1;
+                    }
                 }
-                routes.push(Route::Precise);
             }
+            choices.push(s.route);
         }
         drop(table);
+        let refs: Vec<&DatasetProfile> = self.member_profiles.iter().collect();
         let replay = self
-            .profile
-            .try_replay_routed(&self.compiled.function, &routes)
+            .pool
+            .replay_routed_choices(&refs, &choices)
             .map_err(ServeError::Core)?;
         Ok(Some(RunResult {
             baseline_cycles: baseline.cycles,
@@ -375,62 +392,6 @@ impl EndpointState {
             false_positives,
             false_negatives,
         }))
-    }
-
-    /// The routed counterpart of the binary fold: identical index-order
-    /// accumulation, but slots resolve to [`RouteChoice`]s, false
-    /// decisions are judged against the routing oracle, and quality comes
-    /// from the pool's mixed replay — the same fold
-    /// `mithra_sim::system::run_routed` performs, which is what keeps a
-    /// fully-covered routed endpoint bit-identical to the sequential
-    /// routed simulator.
-    fn finish_routed(
-        routed: &RoutedEndpointState,
-        table: &SlotTable,
-    ) -> Result<RunResult, ServeError> {
-        let n = table.slots.len();
-        let baseline = routed.model.baseline(n);
-        let startup = routed.model.startup(n);
-        let mut cycles = startup.cycles;
-        let mut energy = startup.energy;
-        let threshold = routed.model.threshold();
-        let mut choices: Vec<RouteChoice> = Vec::with_capacity(n);
-        let mut invoked = 0usize;
-        let (mut false_positives, mut false_negatives) = (0usize, 0usize);
-        for (i, slot) in table.slots.iter().enumerate() {
-            let s = slot.expect("filled table has no holes");
-            cycles += s.cycles;
-            energy += s.energy;
-            if s.approx {
-                invoked += 1;
-                if routed.member_profiles[s.member].max_error(i) > threshold {
-                    false_negatives += 1;
-                }
-                choices.push(RouteChoice::Member(s.member));
-            } else {
-                if !routed.oracle_routes[i].is_precise() {
-                    false_positives += 1;
-                }
-                choices.push(RouteChoice::Precise);
-            }
-        }
-        let refs: Vec<&DatasetProfile> = routed.member_profiles.iter().collect();
-        let replay = routed
-            .routed
-            .pool
-            .replay_routed_choices(&refs, &choices)
-            .map_err(ServeError::Core)?;
-        Ok(RunResult {
-            baseline_cycles: baseline.cycles,
-            accelerated_cycles: cycles,
-            baseline_energy_nj: baseline.energy,
-            accelerated_energy_nj: energy,
-            quality_loss: replay.quality_loss,
-            invoked,
-            total: n,
-            false_positives,
-            false_negatives,
-        })
     }
 
     /// Records a sub-batch of served invocations under one slot-table
@@ -450,6 +411,29 @@ impl EndpointState {
             }
         }
     }
+}
+
+/// Calibrates the watchdog prototype of an endpoint, if enabled: the
+/// pool's violation rate on its compile profiles under the deployed
+/// router ([`watchdog::calibrate_pool`]; `calibration[m]` is member
+/// `m`'s compile profiles).
+fn calibrate(
+    enabled: bool,
+    router: &RouteClassifier,
+    calibration: &[&[DatasetProfile]],
+    model: &RoutedInvocationModel,
+) -> Result<Option<WatchdogConfig>, ServeError> {
+    if !enabled {
+        return Ok(None);
+    }
+    let confidence = Confidence::new(0.95).expect("0.95 is a valid confidence");
+    let config = watchdog::calibrate_pool(
+        &mut router.clone(),
+        calibration,
+        model.threshold(),
+        confidence,
+    )?;
+    Ok(Some(config))
 }
 
 /// Re-exported for workers: the clean FIFO event serving always charges.

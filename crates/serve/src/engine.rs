@@ -1,24 +1,27 @@
 //! The sharded serving engine.
 //!
 //! `N` worker threads, each owning its **own** NPU context per endpoint —
-//! FIFOs, the fixed-point accelerator, a classifier clone, and a forked
-//! [`QualityWatchdog`] — drain a shared bounded request queue in batches.
-//! Within a batch, consecutive requests for the same endpoint form a
-//! sub-batch: the worker streams the endpoint's NPU configuration image
-//! through the config FIFO **once** for the whole sub-batch (the
-//! amortization batching buys), then classifies and executes each
-//! invocation individually — the accept/reject decision stays strictly
-//! per-invocation, exactly as MITHRA requires.
+//! FIFOs, a router clone, and a forked [`QualityWatchdog`] — drain a
+//! shared bounded request queue in batches. Within a batch, consecutive
+//! requests for the same endpoint form a sub-batch, served by one
+//! function for every endpoint (a binary endpoint routes over a pool of
+//! one): decide each invocation's route, let the watchdog admit it, run
+//! one batched accelerator forward per pool member present, then charge
+//! in request (FIFO) order. A member's NPU configuration image is
+//! streamed through the config FIFO when the served member switches
+//! within the sub-batch — once per sub-batch on a binary endpoint that
+//! accelerates anything, the amortization batching buys. The routing
+//! decision stays strictly per-invocation, exactly as MITHRA requires.
 //!
-//! Cost accounting goes through the same [`InvocationModel`] constants the
-//! sequential simulator uses, and per-invocation results land in
-//! index-keyed slots, so a finished endpoint's [`RunResult`] is
-//! **bit-identical** to `sim::system::simulate` regardless of worker
-//! count, batch size, or arrival order (watchdog off; with the watchdog
-//! on, admission becomes shard-local state and the engine trades that
-//! identity for per-shard guarding).
+//! Cost accounting goes through the same [`RoutedInvocationModel`]
+//! constants the sequential simulator uses, and per-invocation results
+//! land in index-keyed slots, so a finished endpoint's [`RunResult`] is
+//! **bit-identical** to `sim::system::simulate` (or `run_routed`)
+//! regardless of worker count, batch size, or arrival order (watchdog
+//! off; with the watchdog on, admission becomes shard-local state and the
+//! engine trades that identity for per-shard guarding).
 //!
-//! [`InvocationModel`]: mithra_sim::system::InvocationModel
+//! [`RoutedInvocationModel`]: mithra_sim::system::RoutedInvocationModel
 
 use crate::endpoint::{EndpointSpec, EndpointState, OperatingPoint, ServedInvocation, CLEAN_EVENT};
 use crate::error::{RejectReason, ServeError};
@@ -26,7 +29,6 @@ use crate::metrics::{
     guard_state_name, EndpointCounters, EndpointMetrics, GuardLogEntry, MetricsSnapshot,
 };
 use crate::queue::{BoundedQueue, PushError};
-use mithra_core::classifier::{Classifier, Decision};
 use mithra_core::function::InvokeScratch;
 use mithra_core::profile::default_threads;
 use mithra_core::route::{RouteChoice, RouteClassifier};
@@ -86,54 +88,53 @@ struct Shared {
     watchdog_period: usize,
 }
 
-/// A worker's private NPU context for one endpoint: its own FIFOs,
-/// classifier clone, scratch output buffer, and forked watchdog — all
-/// derived from (and pinned to) one epoch's [`OperatingPoint`].
+/// A worker's private NPU context for one endpoint: its own FIFOs, router
+/// clone, staging buffers, and forked watchdog — all derived from (and
+/// pinned to) one epoch's [`OperatingPoint`].
 struct WorkerCtx {
     /// The operating point this shard currently serves under. Refreshed
     /// at sub-batch boundaries only, so a hot swap never tears a batch.
     op: Arc<OperatingPoint>,
-    classifier: TableClassifier,
-    /// The router cascade clone for routed endpoints (`None` binary).
-    router: Option<RouteClassifier>,
+    router: RouteClassifier,
     queues: QueueInterface,
     watchdog: Option<QualityWatchdog>,
-    out: Vec<f32>,
     /// Scratch for [`EndpointState::fill_slots`] freshness flags.
     fresh: Vec<bool>,
     /// Persistent accelerator scratch: one set of buffers per worker per
     /// endpoint, so the serve hot loop allocates nothing per invocation.
     scratch: InvokeScratch,
-    /// Decision per request of the current sub-batch, aligned with the
-    /// request slice: `(decision, shadow_sampled)`.
-    decisions: Vec<(Decision, bool)>,
-    /// Flat input staging for the approximate subset of a sub-batch.
-    batch_in: Vec<f32>,
-    /// Flat accelerator outputs for the approximate subset.
-    batch_out: Vec<f32>,
+    /// Route per request of the current sub-batch, aligned with the
+    /// request slice: `(route, shadow-sampled member)`.
+    decisions: Vec<(RouteChoice, Option<usize>)>,
+    /// Flat input staging per pool member, in request order.
+    member_in: Vec<Vec<f32>>,
+    /// Flat accelerator outputs per pool member, in request order.
+    member_out: Vec<Vec<f32>>,
+    /// Outputs of each member consumed so far in pass 3.
+    member_next: Vec<usize>,
 }
 
 impl WorkerCtx {
     fn new(state: &EndpointState) -> Self {
         let op = state.operating_point();
+        let pool_size = state.pool.len();
         Self {
-            classifier: op.table.clone(),
-            router: state.routed.as_ref().map(|r| r.routed.router.clone()),
+            router: op.router.clone(),
             queues: QueueInterface::new(),
             watchdog: op.watchdog_proto.as_ref().map(QualityWatchdog::fork),
-            out: Vec::new(),
             fresh: Vec::new(),
             scratch: InvokeScratch::new(),
             decisions: Vec::new(),
-            batch_in: Vec::new(),
-            batch_out: Vec::new(),
+            member_in: vec![Vec::new(); pool_size],
+            member_out: vec![Vec::new(); pool_size],
+            member_next: vec![0; pool_size],
             op,
         }
     }
 
     /// Picks up a hot swap at a sub-batch boundary: when the endpoint's
     /// epoch moved past this shard's, the old shard watchdog's lifetime
-    /// stats are folded (its epoch is over) and the classifier, watchdog,
+    /// stats are folded (its epoch is over) and the router, watchdog,
     /// and threshold are rebuilt from the new operating point. In-flight
     /// work is unaffected — this runs only between sub-batches.
     fn refresh(&mut self, state: &EndpointState) {
@@ -144,7 +145,7 @@ impl WorkerCtx {
         if let Some(dog) = self.watchdog.take() {
             fold_watchdog(&dog, &state.counters);
         }
-        self.classifier = current.table.clone();
+        self.router = current.router.clone();
         self.watchdog = current.watchdog_proto.as_ref().map(QualityWatchdog::fork);
         self.op = current;
     }
@@ -201,10 +202,10 @@ impl ServeEngine {
     /// [`ServeError::UnsupportedOptions`] when
     /// `options.online_update_period != 0` (online table updates mutate
     /// classifier state, which would make decisions depend on request
-    /// interleaving) or when `watchdog_period > 0` alongside a routed
-    /// endpoint (binary admission cannot attribute to routes);
-    /// [`ServeError::Core`] when watchdog calibration fails or a routed
-    /// attachment's member profiles mismatch the served dataset.
+    /// interleaving); [`ServeError::Core`] when watchdog calibration fails
+    /// or a routed attachment lacks a profile per pool member;
+    /// [`ServeError::DatasetMismatch`] when a member profile covers
+    /// another dataset than the endpoint's `profile`.
     pub fn start(specs: Vec<EndpointSpec>, config: &ServeConfig) -> Result<Self, ServeError> {
         if config.options.online_update_period != 0 {
             return Err(ServeError::UnsupportedOptions(
@@ -214,14 +215,6 @@ impl ServeEngine {
         }
         if specs.is_empty() {
             return Err(ServeError::NoEndpoints);
-        }
-        if config.watchdog_period > 0 && specs.iter().any(|s| s.routed.is_some()) {
-            return Err(ServeError::UnsupportedOptions(
-                "watchdog_period must be 0 with routed endpoints: the \
-                 watchdog's binary admission ladder has no per-route \
-                 attribution, so guarding would silently degrade the \
-                 routed mixture's accounting",
-            ));
         }
         let endpoints = specs
             .into_iter()
@@ -274,7 +267,7 @@ impl ServeEngine {
                         .clone();
                     EndpointMetrics::freeze(
                         state.name.clone(),
-                        state.profile.invocation_count() as u64,
+                        state.invocations() as u64,
                         counters,
                     )
                 })
@@ -315,8 +308,9 @@ impl ServeEngine {
     /// # Errors
     ///
     /// [`ServeError::UnknownEndpoint`] for an unregistered endpoint id;
-    /// [`ServeError::UnsupportedOptions`] for a routed endpoint (the
-    /// binary watchdog/recert ladder has no per-route attribution).
+    /// [`ServeError::UnsupportedOptions`] for a routed endpoint (a swap
+    /// installs one table/threshold pair; re-certification that reroutes
+    /// a pool is not supported).
     pub fn swap_operating_point(
         &self,
         endpoint: usize,
@@ -329,7 +323,7 @@ impl ServeEngine {
             .endpoints
             .get(endpoint)
             .ok_or(ServeError::UnknownEndpoint(endpoint))?;
-        if state.routed.is_some() {
+        if state.routed {
             return Err(ServeError::UnsupportedOptions(
                 "operating-point swaps target binary endpoints: routed \
                  pools re-certify through the routed compile path, not a \
@@ -355,7 +349,7 @@ impl ServeEngine {
             .endpoints
             .get(endpoint)
             .ok_or(RejectReason::UnknownEndpoint)?;
-        if invocation >= state.profile.invocation_count() {
+        if invocation >= state.invocations() {
             state
                 .counters
                 .lock()
@@ -398,7 +392,7 @@ impl ServeEngine {
                 .endpoints
                 .get(request.endpoint)
                 .ok_or(RejectReason::UnknownEndpoint)?;
-            if request.invocation >= state.profile.invocation_count() {
+            if request.invocation >= state.invocations() {
                 state
                     .counters
                     .lock()
@@ -517,7 +511,7 @@ impl DrainedEngine {
                 .clone();
             endpoints.push(EndpointReport {
                 name: state.name.clone(),
-                invocations: state.profile.invocation_count(),
+                invocations: state.invocations(),
                 result,
                 counters,
             });
@@ -586,12 +580,7 @@ fn worker_loop(shared: &Shared) {
             }
             let state = &shared.endpoints[ep];
             let ctx = ctxs[ep].get_or_insert_with(|| WorkerCtx::new(state));
-            if state.routed.is_some() {
-                serve_sub_batch_routed(state, ctx, &batch[i..j]);
-            } else {
-                ctx.refresh(state);
-                serve_sub_batch(state, ctx, &batch[i..j], shared.watchdog_period);
-            }
+            serve_sub_batch(state, ctx, &batch[i..j], shared.watchdog_period);
             i = j;
         }
     }
@@ -604,102 +593,116 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Serves one same-endpoint sub-batch: decide → admit → one batched
+/// forward per pool member present → charge in FIFO order.
 fn serve_sub_batch(
     state: &EndpointState,
     ctx: &mut WorkerCtx,
     requests: &[Request],
     watchdog_period: usize,
 ) {
-    let mut delta = EndpointCounters::default();
+    ctx.refresh(state);
+    let pool_size = state.pool.len();
+    let mut delta = EndpointCounters {
+        route_served: vec![0; pool_size],
+        ..Default::default()
+    };
     let mut pending: Vec<(usize, ServedInvocation)> = Vec::with_capacity(requests.len());
-    // One configuration stream per sub-batch — the per-invocation setup
-    // cost batching amortizes.
-    delta.config_bursts += ctx.queues.stream_config(&state.config_words) as u64;
 
-    // Pass 1 — decide. Classification, watchdog admission and shadow
+    // Pass 1 — decide and admit. Routing, watchdog admission and shadow
     // sampling are sequential (the watchdog is stateful), and the inputs
-    // the accelerator will run are staged flat, in request order.
+    // each member will run are staged flat, in request order.
     ctx.decisions.clear();
-    ctx.batch_in.clear();
-    let mut approx_count = 0usize;
+    for staged in &mut ctx.member_in {
+        staged.clear();
+    }
     for request in requests {
         let inv = request.invocation;
-        let input = state.profile.dataset().input(inv);
-        let raw = ctx.classifier.classify(inv, input);
-        let decision = match ctx.watchdog.as_mut() {
-            Some(w) => w.admit(raw),
-            None => raw,
-        };
-        let shadow = ctx.watchdog.is_some()
-            && watchdog_period > 0
-            && raw == Decision::Approximate
-            && inv % watchdog_period == 0;
-        if shadow {
-            // Judged against the *live* epoch's threshold — a hot swap
-            // re-certifies a new threshold, and the guard must watch that
-            // one, not the compile-time certificate it replaced.
-            let violation = state.profile.max_error(inv) > ctx.op.threshold;
-            if let Some(w) = ctx.watchdog.as_mut() {
-                // Count invariants hold, so the statistics cannot fail;
-                // transition totals are folded from the report at
-                // shutdown.
-                let _ = w.record(violation);
-                // Entering Fallback raises the endpoint's *shared*
-                // re-certification trigger: exactly one shard wins the
-                // compare-exchange per epoch, however many forked
-                // watchdogs reach Fallback concurrently.
-                if w.state() == GuardState::Fallback && state.request_recert(ctx.op.epoch) {
-                    delta.watchdog.recert_triggers += 1;
+        let input = state.input(inv);
+        let raw = ctx.router.classify_route(inv, input);
+        let mut route = raw;
+        let mut shadow = None;
+        if let Some(w) = ctx.watchdog.as_mut() {
+            route = w.admit_route(raw);
+            if let RouteChoice::Member(m) = raw {
+                if watchdog_period > 0 && inv % watchdog_period == 0 {
+                    shadow = Some(m);
+                    // Judged against the sampled member's error and the
+                    // *live* epoch's threshold — a hot swap re-certifies a
+                    // new threshold, and the guard must watch that one,
+                    // not the compile-time certificate it replaced.
+                    let violation = state.member_profiles[m].max_error(inv) > ctx.op.threshold;
+                    // Count invariants hold, so the statistics cannot
+                    // fail; transition totals are folded from the report
+                    // at shutdown.
+                    let _ = w.record(violation);
+                    // Entering Fallback raises the endpoint's *shared*
+                    // re-certification trigger: exactly one shard wins
+                    // the compare-exchange per epoch, however many forked
+                    // watchdogs reach Fallback concurrently.
+                    if w.state() == GuardState::Fallback && state.request_recert(ctx.op.epoch) {
+                        delta.watchdog.recert_triggers += 1;
+                    }
                 }
             }
         }
-        if decision == Decision::Approximate {
-            ctx.batch_in.extend_from_slice(input);
-            approx_count += 1;
+        if let RouteChoice::Member(m) = route {
+            ctx.member_in[m].extend_from_slice(input);
         }
-        ctx.decisions.push((decision, shadow));
+        ctx.decisions.push((route, shadow));
     }
 
-    // Pass 2 — one batched accelerator run over the approximate subset.
-    // Per-sample results are bit-identical to the per-invocation path on
-    // whichever backend the function carries; on the SIMD backend this is
-    // where the lane-parallel tiles earn their keep.
-    let function = &state.compiled.function;
-    if approx_count > 0 {
-        let t0 = std::time::Instant::now();
-        function.approx_batch_with(
-            &ctx.batch_in[..],
-            approx_count,
-            &mut ctx.batch_out,
-            &mut ctx.scratch,
-        );
-        delta.approx_wall_nanos += t0.elapsed().as_nanos() as u64;
+    // Pass 2 — one batched accelerator run per member present, over that
+    // member's share of the sub-batch in request order. Per-sample
+    // results are bit-identical to the per-invocation path on whichever
+    // backend the member carries; on the SIMD backend this is where the
+    // lane-parallel tiles earn their keep.
+    let bench = state.pool.benchmark();
+    let (in_dim, out_dim) = (bench.input_dim(), bench.output_dim());
+    for m in 0..pool_size {
+        let count = ctx.member_in[m].len() / in_dim;
+        if count > 0 {
+            let t0 = std::time::Instant::now();
+            state.pool.member(m).approx_batch_with(
+                &ctx.member_in[m][..],
+                count,
+                &mut ctx.member_out[m],
+                &mut ctx.scratch,
+            );
+            delta.approx_wall_nanos += t0.elapsed().as_nanos() as u64;
+        }
+        ctx.member_next[m] = 0;
     }
 
-    // Pass 3 — model and charge, in request (FIFO) order.
-    let out_dim = function.benchmark().output_dim();
-    let in_dim = function.benchmark().input_dim();
-    let mut next_approx = 0usize;
-    for (request, &(decision, shadow)) in requests.iter().zip(&ctx.decisions) {
+    // Pass 3 — model and charge, in request (FIFO) order. A member's
+    // configuration is streamed when the served member switches within
+    // the sub-batch; precise fallbacks touch no FIFO and leave the
+    // configured member in place.
+    let mut configured: Option<usize> = None;
+    for (request, &(route, shadow)) in requests.iter().zip(&ctx.decisions) {
         let inv = request.invocation;
-        let approx = decision == Decision::Approximate;
-        if approx {
+        if let RouteChoice::Member(m) = route {
+            if configured != Some(m) {
+                delta.config_bursts +=
+                    ctx.queues.stream_config(&state.member_config_words[m]) as u64;
+                configured = Some(m);
+            }
             // The modeled accelerator traffic: operands stream through
             // the input FIFO, results drain from the output FIFO.
-            let input = &ctx.batch_in[next_approx * in_dim..(next_approx + 1) * in_dim];
-            let out = &ctx.batch_out[next_approx * out_dim..(next_approx + 1) * out_dim];
+            let k = ctx.member_next[m];
+            ctx.member_next[m] += 1;
+            let input = &ctx.member_in[m][k * in_dim..(k + 1) * in_dim];
             ctx.queues.input.enqueue_slice(input);
             ctx.queues.input.clear();
+            let out = &ctx.member_out[m][k * out_dim..(k + 1) * out_dim];
             ctx.queues.output.enqueue_slice(out);
             ctx.queues.output.clear();
-            next_approx += 1;
         }
-        let charge = state.model.charge(decision, CLEAN_EVENT, shadow);
+        let charge = state.model.charge(route, CLEAN_EVENT, shadow);
         pending.push((
             inv,
             ServedInvocation {
-                approx,
-                member: 0,
+                route,
                 cycles: charge.cycles,
                 energy: charge.energy,
             },
@@ -711,10 +714,12 @@ fn serve_sub_batch(
     for (&(_, served), &fresh) in pending.iter().zip(ctx.fresh.iter()) {
         if fresh {
             delta.served += 1;
-            if served.approx {
-                delta.approx += 1;
-            } else {
-                delta.fallback += 1;
+            match served.route {
+                RouteChoice::Member(m) => {
+                    delta.approx += 1;
+                    delta.route_served[m] += 1;
+                }
+                RouteChoice::Precise => delta.fallback += 1,
             }
             delta.latency.record(served.cycles);
         } else {
@@ -723,92 +728,6 @@ fn serve_sub_batch(
     }
     // The whole sub-batch ran under one operating point, so its served
     // count is attributed to that epoch wholesale.
-    let epoch = ctx.op.epoch as usize;
-    delta.epoch_served = vec![0; epoch + 1];
-    delta.epoch_served[epoch] = delta.served;
-    state
-        .counters
-        .lock()
-        .expect("metrics lock poisoned")
-        .absorb(&delta);
-}
-
-/// The routed analogue of [`serve_sub_batch`]: the router cascade picks a
-/// pool member (or precise fallback) per invocation, and the worker
-/// streams a member's configuration image only when the served route
-/// *switches* members within the sub-batch — consecutive same-member runs
-/// share one config burst, the routed generalization of the binary
-/// path's one-burst-per-sub-batch amortization. Precise fallbacks touch
-/// no FIFO and leave the configured member in place.
-fn serve_sub_batch_routed(state: &EndpointState, ctx: &mut WorkerCtx, requests: &[Request]) {
-    let routed = state
-        .routed
-        .as_ref()
-        .expect("routed sub-batch needs routed state");
-    let router = ctx
-        .router
-        .as_mut()
-        .expect("routed sub-batch needs a router clone");
-    let mut delta = EndpointCounters {
-        route_served: vec![0; routed.routed.pool.len()],
-        ..Default::default()
-    };
-    let mut pending: Vec<(usize, ServedInvocation)> = Vec::with_capacity(requests.len());
-    // Which member's configuration currently sits in the (simulated)
-    // config FIFO; fresh per sub-batch, like the binary path's burst.
-    let mut configured: Option<usize> = None;
-    for request in requests {
-        let inv = request.invocation;
-        let input = state.profile.dataset().input(inv);
-        let route = router.classify_route(inv, input);
-        if let RouteChoice::Member(m) = route {
-            if configured != Some(m) {
-                delta.config_bursts +=
-                    ctx.queues.stream_config(&routed.member_config_words[m]) as u64;
-                configured = Some(m);
-            }
-            // The member's accelerator work: operands through the input
-            // FIFO, the member's fixed-point network, results drained.
-            ctx.queues.input.enqueue_slice(input);
-            ctx.queues.input.clear();
-            let t0 = std::time::Instant::now();
-            routed
-                .routed
-                .pool
-                .member(m)
-                .approx_with(input, &mut ctx.out, &mut ctx.scratch);
-            delta.approx_wall_nanos += t0.elapsed().as_nanos() as u64;
-            ctx.queues.output.enqueue_slice(&ctx.out);
-            ctx.queues.output.clear();
-        }
-        let charge = routed.model.charge_route(route, CLEAN_EVENT, false);
-        pending.push((
-            inv,
-            ServedInvocation {
-                approx: !route.is_precise(),
-                member: route.member().unwrap_or(0),
-                cycles: charge.cycles,
-                energy: charge.energy,
-            },
-        ));
-    }
-    state.fill_slots(&pending, &mut ctx.fresh);
-    for (&(_, served), &fresh) in pending.iter().zip(ctx.fresh.iter()) {
-        if fresh {
-            delta.served += 1;
-            if served.approx {
-                delta.approx += 1;
-                delta.route_served[served.member] += 1;
-            } else {
-                delta.fallback += 1;
-            }
-            delta.latency.record(served.cycles);
-        } else {
-            delta.duplicates += 1;
-        }
-    }
-    // Routed endpoints never swap (the engine rejects it), so everything
-    // is attributed to the compile-time epoch.
     let epoch = ctx.op.epoch as usize;
     delta.epoch_served = vec![0; epoch + 1];
     delta.epoch_served[epoch] = delta.served;

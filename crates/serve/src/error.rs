@@ -17,6 +17,16 @@ pub enum ServeError {
     /// A control-plane call (swap, trigger query) named an unregistered
     /// endpoint.
     UnknownEndpoint(usize),
+    /// A routed endpoint's member profile covers another dataset than
+    /// the endpoint's `profile` (its seed, invocation count or inputs
+    /// differ): serving inputs from one dataset and scoring outputs from
+    /// another would be silently wrong.
+    DatasetMismatch {
+        /// The endpoint name.
+        endpoint: String,
+        /// The pool member whose profile disagrees.
+        member: usize,
+    },
     /// A core-layer failure (calibration, quality scoring).
     Core(MithraError),
 }
@@ -32,6 +42,11 @@ impl fmt::Display for ServeError {
             ServeError::UnknownEndpoint(id) => {
                 write!(f, "endpoint {id} is not registered")
             }
+            ServeError::DatasetMismatch { endpoint, member } => write!(
+                f,
+                "endpoint {endpoint}: member {member} profiles another dataset than \
+                 the endpoint serves"
+            ),
             ServeError::Core(e) => write!(f, "core error: {e}"),
         }
     }

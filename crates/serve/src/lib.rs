@@ -16,25 +16,26 @@
 //!           registry      watchdog stats        watchdog)   RunResult
 //! ```
 //!
-//! Each worker owns a private NPU context per endpoint (FIFOs, the
-//! fixed-point accelerator, a classifier clone, a forked
-//! [`QualityWatchdog`]) and amortizes configuration-FIFO streaming across
-//! each same-endpoint sub-batch while keeping the accept/reject decision
-//! strictly per-invocation. Cost accounting reuses the sequential
-//! simulator's [`InvocationModel`] constants and folds per-invocation
-//! charges in index order, so a fully-served endpoint's [`RunResult`] is
-//! bit-identical to `mithra_sim::system::simulate` for any worker count,
-//! batch size, and arrival order (watchdog off) — sharding buys wall-clock
-//! throughput, never different numbers.
-//!
-//! An endpoint may instead attach a [`RoutedServeSpec`]: the router
-//! cascade then picks a pool member (or the precise fallback) per
-//! invocation, workers stream a member's NPU configuration only on route
-//! switches within a sub-batch, and the fully-served fold is
-//! bit-identical to `mithra_sim::system::run_routed`.
+//! Every endpoint routes over a pool of approximators: a binary endpoint
+//! is a pool of one whose router is its table classifier, and an
+//! endpoint with a [`RoutedServeSpec`] routes over the compiled pool. One
+//! sub-batch function serves both. Each worker owns a private NPU
+//! context per endpoint (FIFOs, a router clone, a forked
+//! [`QualityWatchdog`]), decides and admits each invocation
+//! individually, runs one batched forward per pool member present, and
+//! streams a member's configuration only when the served member switches
+//! within a sub-batch. Cost accounting reuses the sequential simulator's
+//! [`RoutedInvocationModel`] constants and folds per-invocation charges
+//! in index order, so a fully-served endpoint's [`RunResult`] is
+//! bit-identical to `mithra_sim::system::simulate` (binary) or
+//! `run_routed` (routed) for any worker count, batch size, and arrival
+//! order (watchdog off) — sharding buys wall-clock throughput, never
+//! different numbers. The watchdog guards routed endpoints too: shadow
+//! samples judge the routed member, and its limit is calibrated over the
+//! pool ([`mithra_core::watchdog::calibrate_pool`]).
 //!
 //! [`QualityWatchdog`]: mithra_core::watchdog::QualityWatchdog
-//! [`InvocationModel`]: mithra_sim::system::InvocationModel
+//! [`RoutedInvocationModel`]: mithra_sim::system::RoutedInvocationModel
 //! [`RunResult`]: mithra_sim::system::RunResult
 
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! buys wall-clock throughput, never different numbers.
 
 use mithra_axbench::benchmark::Benchmark;
-use mithra_axbench::dataset::DatasetScale;
+use mithra_axbench::dataset::{DatasetScale, DriftSpec};
 use mithra_axbench::suite;
 use mithra_core::pipeline::{compile, compile_routed, CompileConfig, Compiled};
 use mithra_core::profile::DatasetProfile;
@@ -186,17 +186,32 @@ fn watchdog_enabled_serving_covers_and_guards() {
     // With the watchdog on, admission becomes shard-local state, so no
     // bit-identity is claimed — but coverage, accounting, and the
     // no-false-alarm property on clean data must hold, and shadow
-    // sampling must cost cycles.
+    // sampling must cost cycles. A routed endpoint rides along in the
+    // same engine: its guard samples the routed member.
     let compiled = compiled_for("inversek2j");
     let profile = profile_for(&compiled, 99);
     let expected = sequential(&compiled, &profile);
+    let routed = routed_for("inversek2j", 3);
+    let member_profiles = member_profiles_for(&routed, 98);
+    let routed_n = member_profiles[0].invocation_count();
     let engine = ServeEngine::start(
-        vec![EndpointSpec {
-            name: "inversek2j".into(),
-            compiled: Arc::clone(&compiled),
-            profile: profile.clone(),
-            routed: None,
-        }],
+        vec![
+            EndpointSpec {
+                name: "inversek2j".into(),
+                compiled: Arc::clone(&compiled),
+                profile: profile.clone(),
+                routed: None,
+            },
+            EndpointSpec {
+                name: "inversek2j-routed".into(),
+                compiled: Arc::clone(&compiled),
+                profile: member_profiles.last().unwrap().clone(),
+                routed: Some(RoutedServeSpec {
+                    routed: Arc::clone(&routed),
+                    member_profiles,
+                }),
+            },
+        ],
         &ServeConfig {
             workers: 2,
             batch: 4,
@@ -205,10 +220,21 @@ fn watchdog_enabled_serving_covers_and_guards() {
         },
     )
     .unwrap();
-    for i in 0..profile.invocation_count() {
-        engine.submit_or_wait(0, i).unwrap();
+    for i in 0..profile.invocation_count().max(routed_n) {
+        if i < profile.invocation_count() {
+            engine.submit_or_wait(0, i).unwrap();
+        }
+        if i < routed_n {
+            engine.submit_or_wait(1, i).unwrap();
+        }
     }
     let report = engine.finish().unwrap();
+    let snapshot = report.snapshot();
+    assert!(
+        snapshot.consistency_errors().is_empty(),
+        "{:?}",
+        snapshot.consistency_errors()
+    );
     let endpoint = &report.endpoints[0];
     let result = endpoint.result.expect("full coverage");
     assert_eq!(result.total, profile.invocation_count());
@@ -225,6 +251,24 @@ fn watchdog_enabled_serving_covers_and_guards() {
         "shadow samples must cost cycles over the unguarded run"
     );
     assert_eq!(result.invoked, expected.invoked, "admission never gated");
+
+    let routed_endpoint = &report.endpoints[1];
+    let routed_result = routed_endpoint.result.expect("full routed coverage");
+    assert_eq!(routed_result.total, routed_n);
+    assert_eq!(
+        routed_endpoint.counters.served, routed_n as u64,
+        "every routed invocation must be served exactly once"
+    );
+    assert_eq!(routed_endpoint.counters.duplicates, 0);
+    assert!(routed_endpoint.counters.watchdog.samples > 0);
+    assert_eq!(
+        routed_endpoint.counters.watchdog.breaches, 0,
+        "clean certified data must not trip the routed guard"
+    );
+    assert_eq!(
+        routed_endpoint.counters.route_served.iter().sum::<u64>(),
+        routed_result.invoked as u64
+    );
 }
 
 fn routed_for(name: &str, pool_size: usize) -> Arc<RoutedCompiled> {
@@ -333,25 +377,126 @@ fn routed_pool_of_one_serving_matches_binary_serving() {
 }
 
 #[test]
-fn watchdog_rejects_routed_endpoints() {
+fn watchdog_guards_routed_endpoints() {
+    // A routed endpoint serves with the guardband on: its watchdog is
+    // calibrated over the pool, shadow samples judge and charge the
+    // routed member, and on clean data admission is never gated, so the
+    // routes match the unguarded sequential run while the samples cost
+    // cycles.
     let compiled = compiled_for("sobel");
     let routed = routed_for("sobel", 2);
     let member_profiles = member_profiles_for(&routed, 616);
-    let err = ServeEngine::start(
+    let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
+    let mut router = routed.router.clone();
+    let expected = run_routed(&routed, &refs, &mut router, &SimOptions::default()).unwrap();
+    let n = member_profiles[0].invocation_count();
+    let engine = ServeEngine::start(
         vec![EndpointSpec {
             name: "routed".into(),
             compiled: Arc::clone(&compiled),
             profile: member_profiles.last().unwrap().clone(),
             routed: Some(RoutedServeSpec {
                 routed: Arc::clone(&routed),
-                member_profiles,
+                member_profiles: member_profiles.clone(),
             }),
         }],
         &ServeConfig {
+            workers: 2,
+            batch: 4,
             watchdog_period: 4,
             ..ServeConfig::default()
         },
     )
-    .unwrap_err();
-    assert!(matches!(err, ServeError::UnsupportedOptions(_)));
+    .unwrap();
+    for i in 0..n {
+        engine.submit_or_wait(0, i).unwrap();
+    }
+    let report = engine.finish().unwrap();
+    let snapshot = report.snapshot();
+    assert!(
+        snapshot.consistency_errors().is_empty(),
+        "{:?}",
+        snapshot.consistency_errors()
+    );
+    let endpoint = &report.endpoints[0];
+    let result = endpoint.result.expect("full coverage");
+    assert_eq!(endpoint.counters.served, n as u64);
+    assert!(
+        endpoint.counters.watchdog.samples > 0,
+        "shadow sampling must run"
+    );
+    assert_eq!(
+        endpoint.counters.watchdog.breaches, 0,
+        "{:?}",
+        endpoint.counters.watchdog
+    );
+    assert_eq!(
+        result.invoked, expected.run.invoked,
+        "admission never gated"
+    );
+    let served_members: Vec<u64> = expected
+        .member_invocations
+        .iter()
+        .map(|&m| m as u64)
+        .collect();
+    assert_eq!(endpoint.counters.route_served, served_members);
+    assert_eq!(result.quality_loss, expected.run.quality_loss);
+    assert!(
+        result.accelerated_cycles > expected.run.accelerated_cycles,
+        "shadow samples must cost cycles over the unguarded run"
+    );
+}
+
+#[test]
+fn routed_member_profiles_of_another_dataset_are_rejected() {
+    // A routed endpoint serves inputs and scores outputs from its member
+    // profiles alone, so they must profile the dataset `profile` covers:
+    // another seed, or the same seed drifted, is refused.
+    let compiled = compiled_for("sobel");
+    let routed = routed_for("sobel", 2);
+    let member_profiles = member_profiles_for(&routed, 717);
+    let other = member_profiles_for(&routed, 718);
+    let start = |profile: DatasetProfile, member_profiles: Vec<DatasetProfile>| {
+        ServeEngine::start(
+            vec![EndpointSpec {
+                name: "routed".into(),
+                compiled: Arc::clone(&compiled),
+                profile,
+                routed: Some(RoutedServeSpec {
+                    routed: Arc::clone(&routed),
+                    member_profiles,
+                }),
+            }],
+            &ServeConfig::default(),
+        )
+    };
+    let mut mixed = member_profiles.clone();
+    mixed[1] = other[1].clone();
+    let err = start(member_profiles[0].clone(), mixed).unwrap_err();
+    assert!(
+        matches!(err, ServeError::DatasetMismatch { member: 1, .. }),
+        "{err}"
+    );
+    let err = start(other[0].clone(), member_profiles.clone()).unwrap_err();
+    assert!(
+        matches!(err, ServeError::DatasetMismatch { member: 0, .. }),
+        "{err}"
+    );
+    // A drifted copy keeps the seed and the invocation count.
+    let drift = DriftSpec {
+        scale: 1.25,
+        offset: 0.15,
+        noise_std: 0.0,
+        seed: 41,
+    };
+    let drifted = member_profiles[1].dataset().drifted(&drift);
+    let mut mixed = member_profiles.clone();
+    mixed[1] = DatasetProfile::collect(routed.pool.member(1), drifted);
+    let err = start(member_profiles[0].clone(), mixed).unwrap_err();
+    assert!(
+        matches!(err, ServeError::DatasetMismatch { member: 1, .. }),
+        "{err}"
+    );
+    let engine = start(member_profiles[0].clone(), member_profiles).unwrap();
+    engine.finish().unwrap();
 }

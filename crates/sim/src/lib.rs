@@ -13,8 +13,9 @@
 //! The [`fault`] module adds a seeded, deterministic fault-injection layer
 //! (bit flips in the accelerator's weights and sigmoid LUT, corrupted
 //! classifier tables and MISR configurations, FIFO stalls/drops, input
-//! drift); [`system::run`] threads the resulting fault streams and an
-//! optional quality watchdog through the simulation loop, charging the
+//! drift); [`system::run_pool`] — the one simulation loop, binary
+//! systems being pools of one — threads the resulting fault streams and
+//! an optional quality watchdog through every invocation, charging the
 //! cycle and energy cost of every guard action.
 //!
 //! # Example

@@ -1,7 +1,7 @@
 //! The combined system: core + NPU + classifier, per-dataset.
 //!
 //! For every invocation of a profiled dataset the simulator asks the
-//! classifier for a decision, charges the corresponding cycles and energy,
+//! classifier for a route, charges the corresponding cycles and energy,
 //! and finally scores the mixed output's quality. The baseline is the
 //! benchmark running entirely on the precise core.
 //!
@@ -13,9 +13,12 @@
 //! draw from the *same* constants — which is what makes sharded serving
 //! provably output-identical to [`simulate`].
 //!
-//! [`run`] is the full-featured entry point: it additionally threads a
-//! per-invocation FIFO fault stream and an optional quality watchdog
-//! ([`mithra_core::watchdog`]) through the loop, charging the cycle and
+//! There is one per-invocation loop, [`run_pool`]: a binary
+//! accept/reject system is routing over a pool of one, so [`run`] (the
+//! binary entry point) and [`run_routed`] (the routed one) are adapters
+//! that build a [`RoutedInvocationModel`] and call it. The loop threads
+//! a per-invocation FIFO fault stream and an optional quality watchdog
+//! ([`mithra_core::watchdog`]) through every pool, charging the cycle and
 //! energy cost of every guard action (shadow quality samples, throttled
 //! admission, precise fallback). [`simulate`] is the hook-free wrapper the
 //! clean experiments use; with [`RunHooks::none`] the two are numerically
@@ -25,13 +28,15 @@ use crate::cpu::IsaCosts;
 use crate::energy::EnergyModel;
 use crate::error::SimError;
 use crate::fault::{DriftSchedule, FifoEvent};
-use mithra_axbench::benchmark::WorkloadProfile;
+use mithra_axbench::benchmark::{Benchmark, WorkloadProfile};
 use mithra_axbench::dataset::DatasetScale;
 use mithra_core::classifier::{Classifier, ClassifierOverhead, Decision};
 use mithra_core::pipeline::Compiled;
-use mithra_core::profile::{DatasetProfile, Route};
+use mithra_core::profile::DatasetProfile;
 use mithra_core::recert::{RecertConfig, RecertEngine, RecertPhase, RecertReport};
-use mithra_core::route::{oracle_route, RouteChoice, RouteClassifier, RoutedCompiled};
+use mithra_core::route::{
+    oracle_route, replay_mixed, MixedOutput, RouteChoice, RouteClassifier, RoutedCompiled,
+};
 use mithra_core::threshold::QualitySpec;
 use mithra_core::watchdog::{GuardState, QualityWatchdog, WatchdogConfig, WatchdogReport};
 use mithra_npu::cost::NpuCostModel;
@@ -266,9 +271,11 @@ impl InvocationModel {
 /// only the router stages consulted before its decision settled — plus a
 /// precise-fallback model charged every stage.
 ///
-/// For a pool of one, member 0's model and the precise model coincide
-/// with the binary [`InvocationModel`] of the same artifacts, so every
-/// charge is bit-identical to the binary simulator's.
+/// A binary system is the one-member model ([`single`](Self::single)):
+/// member 0 and the precise fallback share the binary
+/// [`InvocationModel`]. For a routed pool of one, member 0's model and
+/// the precise model coincide with that binary model, so every charge is
+/// bit-identical to the binary simulator's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedInvocationModel {
     members: Vec<InvocationModel>,
@@ -304,20 +311,23 @@ impl RoutedInvocationModel {
         Self { members, precise }
     }
 
+    /// The one-member model of a binary system: its single accelerator is
+    /// member 0, and the precise fallback pays the same decision.
+    pub fn single(model: InvocationModel) -> Self {
+        Self {
+            members: vec![model],
+            precise: model,
+        }
+    }
+
     /// The certified routed threshold the models were built against.
     pub fn threshold(&self) -> f32 {
         self.precise.threshold()
     }
 
-    /// The per-member models, cheapest first.
-    pub fn member_models(&self) -> &[InvocationModel] {
-        &self.members
-    }
-
-    /// The precise-fallback model (used for baseline/startup accounting —
-    /// its overhead covers every router stage's tables).
-    pub fn precise_model(&self) -> &InvocationModel {
-        &self.precise
+    /// Members of the pool the model prices.
+    pub fn pool_size(&self) -> usize {
+        self.members.len()
     }
 
     /// The all-precise baseline for `n` invocations.
@@ -334,12 +344,31 @@ impl RoutedInvocationModel {
 
     /// The full charge of one routed invocation: the consulted router
     /// stages, then the chosen member's accelerated path (with its own
-    /// NPU footprint) or the precise path.
-    pub fn charge_route(&self, route: RouteChoice, event: FifoEvent, shadow: bool) -> Charge {
+    /// NPU footprint) or the precise path, plus — when `shadow` names the
+    /// sampled member — the shadow execution that completes the quality
+    /// sample: the precise kernel after an accelerated route, or the
+    /// sampled member's accelerator after a precise one.
+    pub fn charge(&self, route: RouteChoice, event: FifoEvent, shadow: Option<usize>) -> Charge {
         match route {
-            RouteChoice::Member(m) => self.members[m].charge(Decision::Approximate, event, shadow),
-            RouteChoice::Precise => self.precise.charge(Decision::Precise, event, shadow),
+            RouteChoice::Member(m) => {
+                self.members[m].charge(Decision::Approximate, event, shadow.is_some())
+            }
+            RouteChoice::Precise => {
+                let mut c = self.precise.charge(Decision::Precise, event, false);
+                if let Some(sampled) = shadow {
+                    c.add(self.members[sampled].shadow_approx);
+                }
+                c
+            }
         }
+    }
+
+    /// [`charge`](Self::charge) with the shadow sample, if any, taken on
+    /// the served member — or on the accurate member after a precise
+    /// route.
+    pub fn charge_route(&self, route: RouteChoice, event: FifoEvent, shadow: bool) -> Charge {
+        let sampled = route.member().unwrap_or(self.members.len() - 1);
+        self.charge(route, event, shadow.then_some(sampled))
     }
 }
 
@@ -357,8 +386,9 @@ pub struct WatchdogHook<'a> {
 }
 
 impl<'a> WatchdogHook<'a> {
-    /// Arms `dog` to sample every `period`-th approximate decision.
-    /// Returns `None` for `period == 0` — the canonical disabled form.
+    /// Arms `dog` to sample every `period`-th invocation the classifier
+    /// routes to a pool member. Returns `None` for `period == 0` — the
+    /// canonical disabled form.
     pub fn new(dog: &'a mut QualityWatchdog, period: usize) -> Option<Self> {
         NonZeroUsize::new(period).map(|period| Self { dog, period })
     }
@@ -369,8 +399,8 @@ impl<'a> WatchdogHook<'a> {
     }
 }
 
-/// Runtime extensions threaded through [`run`]: injected FIFO events and
-/// an optional quality watchdog.
+/// Runtime extensions threaded through [`run_pool`]: injected FIFO events
+/// and an optional quality watchdog.
 ///
 /// The hook-free value ([`RunHooks::none`]) makes [`run`] numerically
 /// identical to [`simulate`] — the production path pays nothing.
@@ -488,20 +518,14 @@ pub fn simulate(
 /// Simulates one dataset under `classifier` with runtime hooks: injected
 /// FIFO faults and an optional quality watchdog.
 ///
-/// Per invocation the loop (1) asks the classifier for its raw decision,
-/// (2) lets the watchdog gate admission (throttling or full precise
-/// fallback), (3) charges the executed path's cycles and energy including
-/// FIFO stalls, and (4) sporadically samples the true accelerator error
-/// for the watchdog, charging the shadow execution that producing that
-/// sample costs. Quality is scored from the per-invocation [`Route`]s, so
-/// a dropped FIFO output degrades quality via the stale value the
-/// consumer actually read.
+/// The binary system is a pool of one, so this is [`run_pool`] over the
+/// one-member model of `compiled` and `classifier`'s overhead.
 ///
 /// # Errors
 ///
-/// Propagates watchdog statistics failures and routed-replay scoring
-/// failures as [`SimError`]. With [`RunHooks::none`] the call cannot
-/// fail on profiles a clean [`simulate`] accepts.
+/// Propagates watchdog statistics failures and replay scoring failures
+/// as [`SimError`]. With [`RunHooks::none`] the call cannot fail on
+/// profiles a clean [`simulate`] accepts.
 pub fn run(
     compiled: &Compiled,
     profile: &DatasetProfile,
@@ -509,12 +533,101 @@ pub fn run(
     options: &SimOptions,
     hooks: RunHooks<'_>,
 ) -> Result<RunResult, SimError> {
-    let function = &compiled.function;
     let model = InvocationModel::new(compiled, &classifier.overhead(), options);
-    let threshold = model.threshold();
+    let model = RoutedInvocationModel::single(model);
+    let bench = compiled.function.benchmark().as_ref();
+    run_pool(bench, &model, &[profile], classifier, options, hooks).map(|r| r.run)
+}
 
-    let n = profile.invocation_count();
-    let oracle_rejects = profile.oracle_rejects(threshold);
+/// The result of simulating one dataset through a routed system: the
+/// familiar [`RunResult`] plus per-member accounting.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoutedRunResult {
+    /// Aggregate timings, energy, quality and false-decision counts.
+    /// `invoked` counts invocations served by *any* pool member.
+    pub run: RunResult,
+    /// Invocations served per pool member, cheapest first.
+    pub member_invocations: Vec<usize>,
+    /// The member whose output with the largest per-invocation error was
+    /// read — the member a dataset-level quality violation is attributed
+    /// to (0 when nothing was approximated).
+    pub worst_member: usize,
+}
+
+/// Simulates one dataset through a routed system under the deployed
+/// [`RouteClassifier`]: [`run_pool`] over the per-route models of
+/// `routed`, without hooks.
+///
+/// For a pool of one this is [`run`] with [`RunHooks::none`], bit for
+/// bit: same decisions (the single router stage is the binary table),
+/// same charges, same replay.
+///
+/// # Errors
+///
+/// Propagates replay scoring failures (mismatched member profiles) as
+/// [`SimError`].
+pub fn run_routed(
+    routed: &RoutedCompiled,
+    member_profiles: &[&DatasetProfile],
+    router: &mut RouteClassifier,
+    options: &SimOptions,
+) -> Result<RoutedRunResult, SimError> {
+    let model = RoutedInvocationModel::new(routed, options);
+    let bench = routed.pool.benchmark().as_ref();
+    run_pool(
+        bench,
+        &model,
+        member_profiles,
+        router,
+        options,
+        RunHooks::none(),
+    )
+}
+
+/// The per-invocation loop every simulation runs: one dataset through a
+/// pool of approximators, with `member_profiles[m]` pool member `m`'s
+/// profile of the **same** dataset (a binary system passes its one
+/// profile).
+///
+/// Per invocation the loop (1) asks the classifier for its route
+/// ([`Classifier::classify_route`]), (2) lets the watchdog gate admission
+/// (throttling or full precise fallback), (3) charges the executed route
+/// through `model`, including FIFO stalls, and (4) sporadically samples
+/// the routed member's true error for the watchdog, charging the shadow
+/// execution that producing that sample costs. False decisions are
+/// judged against the routing oracle: a false positive runs precise
+/// although some member's error was within the threshold; a false
+/// negative is served by a member whose error exceeded it. Quality is
+/// scored by one mixed-output replay ([`replay_mixed`]), so a dropped
+/// FIFO output degrades quality via the stale value — from whichever
+/// member produced it — that the consumer actually read.
+///
+/// # Errors
+///
+/// Returns [`SimError`] when `member_profiles` does not match the
+/// model's pool, and propagates watchdog statistics failures and replay
+/// scoring failures.
+pub fn run_pool(
+    bench: &dyn Benchmark,
+    model: &RoutedInvocationModel,
+    member_profiles: &[&DatasetProfile],
+    classifier: &mut dyn Classifier,
+    options: &SimOptions,
+    hooks: RunHooks<'_>,
+) -> Result<RoutedRunResult, SimError> {
+    let pool_size = model.pool_size();
+    let base = match member_profiles {
+        [base, ..] if member_profiles.len() == pool_size => *base,
+        _ => {
+            return Err(SimError::from(mithra_core::MithraError::InsufficientData {
+                stage: "pool simulation",
+                available: member_profiles.len(),
+                needed: pool_size,
+            }))
+        }
+    };
+    let threshold = model.threshold();
+    let n = base.invocation_count();
 
     // Baseline: the whole application on the precise core.
     let baseline = model.baseline(n);
@@ -532,158 +645,24 @@ pub fn run(
         None => (None, 0),
     };
 
-    let mut routes: Vec<Route> = Vec::with_capacity(n);
+    let mut outputs: Vec<MixedOutput> = Vec::with_capacity(n);
+    let mut member_invocations = vec![0usize; pool_size];
     let mut invoked = 0usize;
     let (mut false_positives, mut false_negatives) = (0usize, 0usize);
-    // The last invocation whose accelerator output actually reached the
-    // output FIFO — what a Drop leaves for the consumer to read.
-    let mut last_good = 0usize;
+    // The last accelerator output that actually reached the output FIFO —
+    // what a Drop leaves for the consumer to read.
+    let mut last_good = (0usize, 0usize);
 
-    for (i, input) in profile.dataset().iter().enumerate() {
-        let raw = classifier.classify(i, input);
+    for (i, input) in base.dataset().iter().enumerate() {
+        let raw = classifier.classify_route(i, input);
         // The watchdog gates admission: in degraded states some (or all)
-        // approximate decisions are overridden to the precise path.
-        let decision = match watchdog.as_deref_mut() {
-            Some(w) => w.admit(raw),
+        // member routes are overridden to the precise path.
+        let route = match watchdog.as_deref_mut() {
+            Some(w) => w.admit_route(raw),
             None => raw,
         };
 
         let mut event = FifoEvent::None;
-        match decision {
-            Decision::Approximate => {
-                invoked += 1;
-                if oracle_rejects[i] {
-                    false_negatives += 1;
-                }
-                event = hooks.fifo_events.get(i).copied().unwrap_or(FifoEvent::None);
-                match event {
-                    FifoEvent::None | FifoEvent::Stall => {
-                        last_good = i;
-                        routes.push(Route::Approx);
-                    }
-                    FifoEvent::Drop => {
-                        // The result never reached the output FIFO; the
-                        // consumer dequeues the stale last-good output.
-                        routes.push(Route::ApproxFrom(last_good));
-                    }
-                }
-            }
-            Decision::Precise => {
-                if !oracle_rejects[i] {
-                    false_positives += 1;
-                }
-                routes.push(Route::Precise);
-            }
-        }
-
-        // Sporadic watchdog quality sampling: compare accelerator and
-        // precise outputs for this invocation and charge the shadow
-        // execution that produces the missing half of the pair.
-        let shadow = watchdog.is_some()
-            && watchdog_period > 0
-            && raw == Decision::Approximate
-            && i % watchdog_period == 0;
-        if shadow {
-            let violation = profile.max_error(i) > threshold;
-            if let Some(w) = watchdog.as_deref_mut() {
-                w.record(violation)?;
-            }
-        }
-
-        let inv = model.charge(decision, event, shadow);
-        cycles += inv.cycles;
-        energy += inv.energy;
-
-        if options.online_update_period > 0 && i % options.online_update_period == 0 {
-            classifier.observe(i, input, profile.max_error(i) > threshold);
-        }
-    }
-
-    // Quality of the mixed output stream. With clean routes this is
-    // numerically identical to `DatasetProfile::replay_with`.
-    let replay = profile.try_replay_routed(function, &routes)?;
-
-    Ok(RunResult {
-        baseline_cycles: baseline.cycles,
-        accelerated_cycles: cycles,
-        baseline_energy_nj: baseline.energy,
-        accelerated_energy_nj: energy,
-        quality_loss: replay.quality_loss,
-        invoked,
-        total: n,
-        false_positives,
-        false_negatives,
-    })
-}
-
-/// The result of simulating one dataset through a routed system: the
-/// familiar [`RunResult`] plus per-member accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutedRunResult {
-    /// Aggregate timings, energy, quality and false-decision counts.
-    /// `invoked` counts invocations served by *any* pool member.
-    pub run: RunResult,
-    /// Invocations served per pool member, cheapest first.
-    pub member_invocations: Vec<usize>,
-    /// The serving member whose worst per-invocation error was largest —
-    /// the member a dataset-level quality violation is attributed to
-    /// (0 when nothing was approximated).
-    pub worst_member: usize,
-}
-
-/// Simulates one dataset through a routed system: per invocation the
-/// deployed [`RouteClassifier`] picks a pool member (or the precise
-/// fallback), the invocation is charged that route's cost — consulted
-/// router stages plus the member's own NPU footprint — and quality is
-/// scored from the mixed output stream of the members that actually
-/// served.
-///
-/// `member_profiles[m]` must be pool member `m`'s profile of the **same**
-/// dataset. False decisions are judged against the routing oracle: a
-/// false positive runs precise although some member's error was within
-/// the threshold; a false negative is served by a member whose error
-/// exceeded it.
-///
-/// For a pool of one this is [`run`] with [`RunHooks::none`], bit for
-/// bit: same decisions (the single router stage is the binary table),
-/// same charges, same replay. Online classifier updates are not threaded
-/// through routed runs; `options.online_update_period` is ignored.
-///
-/// # Errors
-///
-/// Propagates routed-replay scoring failures (mismatched member
-/// profiles) as [`SimError`].
-pub fn run_routed(
-    routed: &RoutedCompiled,
-    member_profiles: &[&DatasetProfile],
-    router: &mut RouteClassifier,
-    options: &SimOptions,
-) -> Result<RoutedRunResult, SimError> {
-    let model = RoutedInvocationModel::new(routed, options);
-    let threshold = model.threshold();
-
-    let base = member_profiles.first().ok_or_else(|| {
-        SimError::from(mithra_core::MithraError::InsufficientData {
-            stage: "routed simulation",
-            available: 0,
-            needed: 1,
-        })
-    })?;
-    let n = base.invocation_count();
-
-    let baseline = model.baseline(n);
-    let startup = model.startup(n);
-    let mut cycles = startup.cycles;
-    let mut energy = startup.energy;
-
-    let mut choices: Vec<RouteChoice> = Vec::with_capacity(n);
-    let mut member_invocations = vec![0usize; routed.pool.len()];
-    let mut invoked = 0usize;
-    let (mut false_positives, mut false_negatives) = (0usize, 0usize);
-
-    for (i, input) in base.dataset().iter().enumerate() {
-        let route = router.classify_route(i, input);
-        let oracle = oracle_route(member_profiles, i, threshold);
         match route {
             RouteChoice::Member(m) => {
                 invoked += 1;
@@ -691,23 +670,47 @@ pub fn run_routed(
                 if member_profiles[m].max_error(i) > threshold {
                     false_negatives += 1;
                 }
-            }
-            RouteChoice::Precise => {
-                if !oracle.is_precise() {
-                    false_positives += 1;
+                event = hooks.fifo_events.get(i).copied().unwrap_or(FifoEvent::None);
+                if event == FifoEvent::Drop {
+                    // The result never reached the output FIFO; the
+                    // consumer dequeues the stale last-good output.
+                    let (member, from) = last_good;
+                    outputs.push(MixedOutput::Approx { member, from });
+                } else {
+                    last_good = (m, i);
+                    outputs.push(MixedOutput::own(i, route));
                 }
             }
+            RouteChoice::Precise => {
+                if !oracle_route(member_profiles, i, threshold).is_precise() {
+                    false_positives += 1;
+                }
+                outputs.push(MixedOutput::Precise);
+            }
         }
-        choices.push(route);
 
-        let inv = model.charge_route(route, FifoEvent::None, false);
+        // Sporadic watchdog quality sampling: compare the routed member's
+        // output with the precise output for this invocation and charge
+        // the shadow execution that produces the missing half of the pair.
+        let shadow = match raw {
+            RouteChoice::Member(m) if watchdog_period > 0 && i % watchdog_period == 0 => Some(m),
+            _ => None,
+        };
+        if let (Some(m), Some(w)) = (shadow, watchdog.as_deref_mut()) {
+            w.record(member_profiles[m].max_error(i) > threshold)?;
+        }
+
+        let inv = model.charge(route, event, shadow);
         cycles += inv.cycles;
         energy += inv.energy;
+
+        if options.online_update_period > 0 && i % options.online_update_period == 0 {
+            let reject = oracle_route(member_profiles, i, threshold).is_precise();
+            classifier.observe(i, input, reject);
+        }
     }
 
-    let replay = routed
-        .pool
-        .replay_routed_choices(member_profiles, &choices)?;
+    let replay = replay_mixed(bench, member_profiles, outputs.into_iter())?;
 
     Ok(RoutedRunResult {
         run: RunResult {

@@ -3,9 +3,9 @@
 //!
 //! * with no plan armed, the hooked simulation path is bit-identical to
 //!   the production [`simulate`] path (the pinned `results/*.txt` tables
-//!   stay byte-comparable);
+//!   stay byte-comparable), for a routed pool as for a binary system;
 //! * the watchdog never fires on clean certified runs, across seeds — the
-//!   no-false-alarm property;
+//!   no-false-alarm property — for a routed pool as for a binary system;
 //! * armed plans are deterministic and refuse to arm when empty;
 //! * the online re-certification gate spends at most its α: across seeds,
 //!   a still-violating stream (true pass rate at the certified target `S`)
@@ -16,12 +16,16 @@
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::DatasetScale;
 use mithra_axbench::suite;
-use mithra_core::pipeline::{compile, CompileConfig, Compiled};
+use mithra_core::classifier::{Classifier, ClassifierOverhead, Decision};
+use mithra_core::pipeline::{compile, compile_routed, CompileConfig, Compiled};
 use mithra_core::profile::DatasetProfile;
 use mithra_core::recert::RecertConfig;
+use mithra_core::route::{oracle_route, PoolSpec, RouteChoice, RoutedCompiled};
 use mithra_core::watchdog::{GuardState, QualityWatchdog, WatchdogConfig};
 use mithra_sim::fault::FaultPlan;
-use mithra_sim::system::{run, simulate, RunHooks, SimOptions};
+use mithra_sim::system::{
+    run, run_pool, run_routed, simulate, RoutedInvocationModel, RunHooks, SimOptions,
+};
 use mithra_sim::SimError;
 use mithra_stats::clopper_pearson::Confidence;
 use mithra_stats::sequential::SequentialBinomial;
@@ -38,6 +42,62 @@ fn compiled_sobel() -> &'static Compiled {
     })
 }
 
+/// A three-member routed inversek2j pool (sobel's tiers collapse).
+fn routed_inversek2j() -> &'static RoutedCompiled {
+    static ROUTED: OnceLock<RoutedCompiled> = OnceLock::new();
+    ROUTED.get_or_init(|| {
+        let bench: Arc<dyn Benchmark> = suite::by_name("inversek2j").unwrap().into();
+        let spec = PoolSpec::sized(&bench.npu_topology(), 3);
+        let routed = compile_routed(bench, &CompileConfig::smoke(), &spec).unwrap();
+        assert_eq!(routed.pool.len(), 3, "{:?}", routed.pool.topologies());
+        routed
+    })
+}
+
+/// Every pool member's profile of dataset `seed`.
+fn member_profiles(routed: &RoutedCompiled, seed: u64) -> Vec<DatasetProfile> {
+    let ds = routed.pool.accurate().dataset(seed, DatasetScale::Smoke);
+    let members = routed.pool.members();
+    members
+        .iter()
+        .map(|m| DatasetProfile::collect(m, ds.clone()))
+        .collect()
+}
+
+/// The routing oracle of one dataset: each invocation goes to the
+/// cheapest member whose error is within the threshold.
+#[derive(Debug)]
+struct OracleRouter(Vec<RouteChoice>);
+
+impl OracleRouter {
+    fn new(members: &[&DatasetProfile], threshold: f32) -> Self {
+        let n = members[0].invocation_count();
+        Self(
+            (0..n)
+                .map(|i| oracle_route(members, i, threshold))
+                .collect(),
+        )
+    }
+}
+
+impl Classifier for OracleRouter {
+    fn name(&self) -> &'static str {
+        "oracle-router"
+    }
+
+    fn classify(&mut self, index: usize, _input: &[f32]) -> Decision {
+        Decision::from_reject(self.0[index].is_precise())
+    }
+
+    fn classify_route(&mut self, index: usize, _input: &[f32]) -> RouteChoice {
+        self.0[index]
+    }
+
+    fn overhead(&self) -> ClassifierOverhead {
+        ClassifierOverhead::default()
+    }
+}
+
 #[test]
 fn hook_free_run_is_bit_identical_to_simulate_across_seeds() {
     let compiled = compiled_sobel();
@@ -50,6 +110,19 @@ fn hook_free_run_is_bit_identical_to_simulate_across_seeds() {
         let plain = simulate(compiled, &profile, &mut a, &opts);
         let hooked = run(compiled, &profile, &mut b, &opts, RunHooks::none()).unwrap();
         assert_eq!(plain, hooked, "seed {seed} diverged");
+    }
+    // The same property for a three-member routed pool: the hooked loop
+    // with no hooks is the routed simulator.
+    let routed = routed_inversek2j();
+    let bench = routed.pool.benchmark().as_ref();
+    let model = RoutedInvocationModel::new(routed, &opts);
+    for seed in [3u64, 17, 40] {
+        let profiles = member_profiles(routed, seed);
+        let refs: Vec<&DatasetProfile> = profiles.iter().collect();
+        let plain = run_routed(routed, &refs, &mut routed.router.clone(), &opts).unwrap();
+        let mut router = routed.router.clone();
+        let hooked = run_pool(bench, &model, &refs, &mut router, &opts, RunHooks::none()).unwrap();
+        assert_eq!(plain, hooked, "routed seed {seed} diverged");
     }
 }
 
@@ -81,6 +154,45 @@ fn watchdog_never_fires_on_clean_certified_runs_across_seeds() {
         let plain = simulate(compiled, &profile, &mut plain_oracle, &opts);
         assert_eq!(guarded.invoked, plain.invoked, "seed {seed}");
         assert_eq!(guarded.quality_loss, plain.quality_loss, "seed {seed}");
+    }
+    // A three-member routed pool under the routing oracle: every member
+    // route is within the threshold, so the routed guard never samples a
+    // violation and never gates admission.
+    let routed = routed_inversek2j();
+    let bench = routed.pool.benchmark().as_ref();
+    let model = RoutedInvocationModel::new(routed, &opts);
+    for seed in [5u64, 21, 77] {
+        let profiles = member_profiles(routed, seed);
+        let refs: Vec<&DatasetProfile> = profiles.iter().collect();
+        let threshold = model.threshold();
+        let mut oracle = OracleRouter::new(&refs, threshold);
+        let mut watchdog = QualityWatchdog::new(WatchdogConfig::default());
+        let hooks = RunHooks::none().with_watchdog(&mut watchdog, 2);
+        let guarded = run_pool(bench, &model, &refs, &mut oracle, &opts, hooks).unwrap();
+        let report = watchdog.report();
+        assert!(report.samples > 0, "routed seed {seed}: {report:?}");
+        assert_eq!(report.breaches, 0, "routed seed {seed}: {report:?}");
+        assert_eq!(report.state, GuardState::Monitoring, "routed seed {seed}");
+        assert_eq!(report.violations, 0, "routed seed {seed}");
+        let mut plain_oracle = OracleRouter::new(&refs, threshold);
+        let plain = run_pool(
+            bench,
+            &model,
+            &refs,
+            &mut plain_oracle,
+            &opts,
+            RunHooks::none(),
+        )
+        .unwrap();
+        assert_eq!(
+            guarded.member_invocations, plain.member_invocations,
+            "routed seed {seed}"
+        );
+        assert_eq!(
+            guarded.run.quality_loss, plain.run.quality_loss,
+            "routed seed {seed}"
+        );
+        assert!(guarded.run.accelerated_cycles > plain.run.accelerated_cycles);
     }
 }
 
